@@ -10,8 +10,8 @@
 // both directions, so encrypt and decrypt rows are directly comparable).
 // Sequential columns measure four cells each — dir in {encrypt, decrypt} x
 // api in {alloc, into} — so the allocating-vs-in-place overhead and the
-// decrypt datapath are both visible; the thread and shard columns sweep
-// encrypt/alloc only. The JSON records mean/max/stddev throughput, the
+// decrypt datapath are both visible; the thread column sweeps encrypt/alloc
+// only. The JSON records mean/max/stddev throughput, the
 // measured expansion factor, and the per-block latency. A decrypt
 // round-trip of the first message guards against benchmarking a broken
 // configuration.
@@ -24,7 +24,7 @@
 // compress-then-encrypt pipeline from its uncompressed twin.
 //
 // Usage: bench_ciphers [--out FILE] [--quick] [--reps N] [--threads N]
-//                      [--shards N] [--seed S] [--backend auto|scalar|avx2]
+//                      [--seed S] [--backend auto|scalar|avx2]
 //   --reps N     repetitions per cell (default 9, or 2 with --quick; the
 //                bench_smoke ctest runs --reps 1 so harness breakage fails
 //                CI instead of only the artifact step)
@@ -32,13 +32,6 @@
 //                concurrency; the sweep is {1} only on a single-core host —
 //                oversubscribing one core measures scheduler noise, not the
 //                cipher)
-//   --shards N   intra-message shard counts to sweep at threads=1: {2,4,8}
-//                clamped to N (default: hardware concurrency, so the shard
-//                sweep is empty on a single-core host; pass --shards
-//                explicitly — note the adapters additionally clamp their
-//                worker pools to hardware concurrency, so on a 1-core host
-//                the shard columns measure the clamp itself: they run the
-//                sequential path and should match the shards=1 row)
 //   --seed S     registry key/nonce derivation seed (decimal or 0x hex), for
 //                reproducible runs
 //   --backend B  force the keystream engine for the whole run (default
@@ -94,13 +87,10 @@ const char* dir_name(Dir d) { return d == Dir::encrypt ? "encrypt" : "decrypt"; 
 const char* api_name(Api a) { return a == Api::alloc ? "alloc" : "into"; }
 const char* corpus_name(Corpus c) { return c == Corpus::random ? "random" : "text"; }
 
-/// One sweep column: how many batch workers, how many intra-message shards
-/// per cipher instance, the direction and the API form. The thread sweep
-/// runs at shards=1 and the shard sweep at threads=1, so each axis is
-/// measured in isolation; dir/api variants run on the sequential column.
+/// One sweep column: how many batch workers, the direction and the API
+/// form. dir/api variants run on the sequential column.
 struct SweepColumn {
   int threads = 1;
-  int shards = 1;
   Dir dir = Dir::encrypt;
   Api api = Api::alloc;
 };
@@ -109,7 +99,6 @@ struct CellResult {
   std::string cipher;
   std::size_t msg_bytes = 0;
   int threads = 0;
-  int shards = 1;
   Dir dir = Dir::encrypt;
   Api api = Api::alloc;
   Corpus corpus = Corpus::random;
@@ -128,7 +117,6 @@ void cell_fill(CellResult& cell, const std::string& name, std::size_t msg_bytes,
   cell.cipher = name;
   cell.msg_bytes = msg_bytes;
   cell.threads = col.threads;
-  cell.shards = col.shards;
   cell.dir = col.dir;
   cell.api = col.api;
   cell.corpus = corpus;
@@ -172,24 +160,19 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
                                   const std::vector<SweepColumn>& columns,
                                   Corpus corpus, std::size_t reps) {
   int max_threads = 1;
-  int max_shards = 1;
-  for (const SweepColumn& c : columns) {
-    max_threads = std::max(max_threads, c.threads);
-    max_shards = std::max(max_shards, c.shards);
-  }
+  for (const SweepColumn& c : columns) max_threads = std::max(max_threads, c.threads);
   const std::size_t batch_size =
       std::max<std::size_t>(kTargetBatchBytes / std::max<std::size_t>(msg_bytes, 1),
                             static_cast<std::size_t>(max_threads) * 4);
   const auto msgs = make_messages(msg_bytes, batch_size, corpus);
-  const auto maker_for = [&](int shards) {
-    return [&, shards] { return CipherRegistry::builtin().make(name, g_cipher_seed, shards); };
+  const mhhea::crypto::CipherMaker maker = [&] {
+    return CipherRegistry::builtin().make(name, g_cipher_seed);
   };
 
   // Correctness guard + warm-up: round-trip the first message once (through
-  // both API forms), and pin the sharded column to the sequential bytes
-  // before timing it.
+  // both API forms) before timing it.
   {
-    auto cipher = maker_for(1)();
+    auto cipher = maker();
     const auto ct = cipher->encrypt(msgs[0]);
     if (cipher->decrypt(ct, msgs[0].size()) != msgs[0]) {
       throw std::runtime_error("bench: " + name + " failed its round-trip check");
@@ -200,26 +183,20 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
     if (buf != ct) {
       throw std::runtime_error("bench: " + name + " encrypt_into diverged from encrypt");
     }
-    if (max_shards > 1 && maker_for(max_shards)()->encrypt(msgs[0]) != ct) {
-      throw std::runtime_error("bench: " + name + " sharded ciphertext diverged");
-    }
   }
 
   std::vector<CellResult> cells(columns.size());
   std::vector<mhhea::util::RunningStats> mbps(columns.size());
   std::vector<mhhea::util::RunningStats> nspb(columns.size());
-  // Pre-built cipher per threads=1 column: cipher construction (which for a
-  // sharded cipher spawns and later joins its worker pool) must not sit
-  // inside the timed window, or the shard columns carry a fixed per-rep cost
-  // the shards=1 baseline doesn't and shard_speedup reads biased low.
-  // Multi-thread columns go through encrypt_batch, which necessarily
-  // constructs its per-worker ciphers inside the window for every column.
+  // Pre-built cipher per threads=1 column, so cipher construction stays
+  // outside the timed window. Multi-thread columns go through encrypt_batch,
+  // which necessarily constructs its per-worker ciphers inside the window.
   std::vector<std::unique_ptr<mhhea::crypto::Cipher>> col_cipher(columns.size());
   bool wants_decrypt = false;
   bool wants_into = false;
   for (std::size_t t = 0; t < columns.size(); ++t) {
     cell_fill(cells[t], name, msg_bytes, columns[t], corpus, batch_size, reps);
-    if (columns[t].threads == 1) col_cipher[t] = maker_for(columns[t].shards)();
+    if (columns[t].threads == 1) col_cipher[t] = maker();
     wants_decrypt = wants_decrypt || columns[t].dir == Dir::decrypt;
     wants_into = wants_into || columns[t].api == Api::into;
   }
@@ -229,7 +206,7 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
   std::vector<std::vector<std::uint8_t>> cts;
   std::size_t ct_bytes_total = 0;
   if (wants_decrypt) {
-    auto cipher = maker_for(1)();
+    auto cipher = maker();
     cts.reserve(msgs.size());
     for (const auto& m : msgs) {
       cts.push_back(cipher->encrypt(m));
@@ -239,7 +216,7 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
   std::vector<std::uint8_t> enc_buf;
   std::vector<std::uint8_t> dec_buf;
   if (wants_into) {
-    enc_buf.resize(maker_for(1)()->max_ciphertext_size(msg_bytes));
+    enc_buf.resize(maker()->max_ciphertext_size(msg_bytes));
     dec_buf.resize(msg_bytes);
   }
   const double plain_mb =
@@ -250,7 +227,6 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
   for (std::size_t r = 0; r < reps; ++r) {
     for (std::size_t t = 0; t < columns.size(); ++t) {
       const SweepColumn col = columns[t];
-      const auto maker = maker_for(col.shards);
       mhhea::crypto::Cipher* cipher = col_cipher[t].get();
       std::size_t cipher_bytes_total = 0;
       const auto t0 = Clock::now();
@@ -319,7 +295,7 @@ std::string json_escape(const std::string& s) {
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                int max_threads, int max_shards) {
+                int max_threads, std::size_t reps) {
   std::ostringstream os;
   os.precision(6);
   os << "{\n";
@@ -327,7 +303,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   os << "  \"seed\": " << g_cipher_seed << ",\n";
   os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n";
   os << "  \"max_threads\": " << max_threads << ",\n";
-  os << "  \"max_shards\": " << max_shards << ",\n";
+  os << "  \"reps\": " << reps << ",\n";
   // Host capabilities: which keystream engine produced these numbers and
   // what the silicon could have run, so artifacts from different runners
   // compare like with like.
@@ -337,8 +313,8 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
      << (mhhea::backend::avx2_compiled() ? "true" : "false")
      << ", \"hardware_concurrency\": " << std::thread::hardware_concurrency() << "},\n";
   // Aggregate batch scaling per cipher: total best-rep throughput across
-  // message sizes at max_threads over the same at one thread (both at
-  // shards=1). When the thread sweep clamped to a single column (1-core
+  // message sizes at max_threads over the same at one thread. When the
+  // thread sweep clamped to a single column (1-core
   // host), each cipher reports the exact single-thread ratio 1.0 and the
   // sibling "batch_speedup_clamped" flag is true — downstream tooling gets
   // every cipher key on every host instead of a silently empty object.
@@ -346,9 +322,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   {
     std::map<std::string, std::array<double, 2>> sums;
     for (const auto& c : cells) {
-      if (c.shards != 1 || c.dir != Dir::encrypt || c.api != Api::alloc ||
-          c.corpus != Corpus::random)
-        continue;
+      if (c.dir != Dir::encrypt || c.api != Api::alloc || c.corpus != Corpus::random) continue;
       sums[c.cipher][c.threads == 1 ? 0 : 1] += c.mb_per_s_max;
     }
     bool first = true;
@@ -362,68 +336,13 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   os << "},\n";
   os << "  \"batch_speedup_clamped\": " << (max_threads > 1 ? "false" : "true")
      << ",\n";
-  // Aggregate intra-message scaling per cipher: for each shard count, total
-  // best-rep throughput over the shards=1 total across the SAME message
-  // sizes, at threads=1; report the best count's ratio. A (size, shards)
-  // cell only counts when size >= shards * kMinShardMsgBytes — below that
-  // the adapters' per-shard minimum clamps the effective count, so the cell
-  // times a partly or fully sequential path and would dilute the metric
-  // toward 1. Same single-column treatment as batch_speedup: a clamped sweep
-  // reports 1.0 per cipher plus "shard_speedup_clamped": true.
-  os << "  \"shard_speedup\": {";
-  if (max_shards > 1) {
-    // cipher -> shards -> msg_bytes -> best-rep MB/s (threads=1 cells only)
-    std::map<std::string, std::map<int, std::map<std::size_t, double>>> grid;
-    for (const auto& c : cells) {
-      if (c.threads == 1 && c.dir == Dir::encrypt && c.api == Api::alloc &&
-          c.corpus == Corpus::random) {
-        grid[c.cipher][c.shards][c.msg_bytes] = c.mb_per_s_max;
-      }
-    }
-    bool first = true;
-    for (const auto& [name, by_shards] : grid) {
-      double best = 0.0;
-      const auto base_it = by_shards.find(1);
-      for (const auto& [shards, by_size] : by_shards) {
-        if (shards == 1 || base_it == by_shards.end()) continue;
-        double num = 0.0;
-        double den = 0.0;
-        for (const auto& [size, mbps] : by_size) {
-          if (size < static_cast<std::size_t>(shards) * mhhea::crypto::kMinShardMsgBytes)
-            continue;
-          const auto b = base_it->second.find(size);
-          if (b == base_it->second.end()) continue;
-          num += mbps;
-          den += b->second;
-        }
-        if (den > 0.0) best = std::max(best, num / den);
-      }
-      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << best;
-      first = false;
-    }
-  } else {
-    std::map<std::string, bool> names;
-    for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
-          c.api == Api::alloc && c.corpus == Corpus::random)
-        names[c.cipher] = true;
-    }
-    bool first = true;
-    for (const auto& [name, unused] : names) {
-      (void)unused;
-      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": 1";
-      first = false;
-    }
-  }
-  os << "},\n";
-  os << "  \"shard_speedup_clamped\": " << (max_shards > 1 ? "false" : "true") << ",\n";
   // Per-cipher decrypt throughput (sequential alloc column, mean across
   // sizes): the decrypt counterpart of the headline encrypt rows.
   os << "  \"decrypt_mb_per_s\": {";
   {
     std::map<std::string, std::array<double, 2>> sums;  // {total, count}
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::decrypt &&
+      if (c.threads == 1 && c.dir == Dir::decrypt &&
           c.api == Api::alloc && c.corpus == Corpus::random) {
         sums[c.cipher][0] += c.mb_per_s_mean;
         sums[c.cipher][1] += 1.0;
@@ -443,7 +362,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   {
     std::map<std::string, std::array<double, 2>> sums;  // {alloc, into}
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
+      if (c.threads == 1 && c.dir == Dir::encrypt &&
           c.corpus == Corpus::random) {
         sums[c.cipher][c.api == Api::alloc ? 0 : 1] += c.mb_per_s_max;
       }
@@ -464,7 +383,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   {
     std::map<std::string, double> sums;  // cipher -> total best-rep MB/s
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
+      if (c.threads == 1 && c.dir == Dir::encrypt &&
           c.corpus == Corpus::random) {
         sums[c.cipher] += c.mb_per_s_max;
       }
@@ -489,7 +408,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     // cipher -> corpus index {random, text} -> {sum, count}
     std::map<std::string, std::array<std::array<double, 2>, 2>> sums;
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
+      if (c.threads == 1 && c.dir == Dir::encrypt &&
           c.api == Api::alloc) {
         auto& slot = sums[c.cipher][c.corpus == Corpus::random ? 0 : 1];
         slot[0] += c.expansion;
@@ -511,7 +430,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     // cipher -> corpus index -> {sum of mbps*expansion, count}
     std::map<std::string, std::array<std::array<double, 2>, 2>> sums;
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
+      if (c.threads == 1 && c.dir == Dir::encrypt &&
           c.api == Api::alloc) {
         auto& slot = sums[c.cipher][c.corpus == Corpus::random ? 0 : 1];
         slot[0] += c.mb_per_s_mean * c.expansion;
@@ -533,9 +452,9 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     const auto& c = cells[i];
     os << "    {\"cipher\": \"" << json_escape(c.cipher) << "\", \"backend\": \""
        << backend_name << "\", \"msg_bytes\": "
-       << c.msg_bytes << ", \"threads\": " << c.threads << ", \"shards\": " << c.shards
-       << ", \"dir\": \"" << dir_name(c.dir) << "\", \"api\": \"" << api_name(c.api)
-       << "\", \"corpus\": \"" << corpus_name(c.corpus) << "\", \"batch_size\": "
+       << c.msg_bytes << ", \"threads\": " << c.threads << ", \"dir\": \""
+       << dir_name(c.dir) << "\", \"api\": \"" << api_name(c.api)
+       << "\", \"corpus\": \""<< corpus_name(c.corpus) << "\", \"batch_size\": "
        << c.batch_size << ", \"reps\": " << c.reps << ", \"mb_per_s_mean\": "
        << c.mb_per_s_mean << ", \"mb_per_s_max\": " << c.mb_per_s_max
        << ", \"mb_per_s_stddev\": " << c.mb_per_s_stddev << ", \"expansion\": "
@@ -554,7 +473,6 @@ int main(int argc, char** argv) try {
   std::string out_path = "BENCH_ciphers.json";
   bool quick = false;
   int threads_flag = 0;    // 0 = derive from hardware
-  int shards_flag = 0;     // 0 = derive from hardware
   std::size_t reps_flag = 0;  // 0 = derive from --quick
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -575,13 +493,6 @@ int main(int argc, char** argv) try {
         return 2;
       }
       threads_flag = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      std::uint64_t v = 0;
-      if (!parse_u64(argv[++i], &v) || v < 1 || v > 1024) {
-        std::cerr << "bench_ciphers: --shards must be an integer in [1, 1024]\n";
-        return 2;
-      }
-      shards_flag = static_cast<int>(v);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       if (!parse_u64(argv[++i], &g_cipher_seed) || g_cipher_seed == 0) {
         std::cerr << "bench_ciphers: --seed must be a non-zero 64-bit integer\n";
@@ -598,7 +509,7 @@ int main(int argc, char** argv) try {
       }
     } else {
       std::cerr << "usage: bench_ciphers [--out FILE] [--quick] [--reps N] "
-                   "[--threads N] [--shards N] [--seed S] "
+                   "[--threads N] [--seed S] "
                    "[--backend auto|scalar|avx2]\n";
       return 2;
     }
@@ -611,29 +522,21 @@ int main(int argc, char** argv) try {
   // overrides the clamp for deliberate oversubscription experiments.
   const int max_threads =
       threads_flag > 0 ? threads_flag : static_cast<int>(hw > 0 ? hw : 1);
-  // The shard sweep gets the same clamp-to-hardware treatment (sharding one
-  // core measures dispatch overhead, not parallelism) and, like --threads,
-  // --shards overrides it for deliberate overhead measurements.
-  const int max_shards =
-      shards_flag > 0 ? shards_flag : static_cast<int>(hw > 0 ? hw : 1);
-  // The sequential column measures all four dir x api cells; the thread and
-  // shard columns measure encrypt/alloc (the batch server shape).
-  std::vector<SweepColumn> columns = {{1, 1, Dir::encrypt, Api::alloc},
-                                      {1, 1, Dir::encrypt, Api::into},
-                                      {1, 1, Dir::decrypt, Api::alloc},
-                                      {1, 1, Dir::decrypt, Api::into}};
-  if (max_threads > 1) columns.push_back({max_threads, 1, Dir::encrypt, Api::alloc});
-  for (int s : {2, 4, 8}) {
-    if (s <= max_shards) columns.push_back({1, s, Dir::encrypt, Api::alloc});
-  }
+  // The sequential column measures all four dir x api cells; the thread
+  // column measures encrypt/alloc (the batch server shape).
+  std::vector<SweepColumn> columns = {{1, Dir::encrypt, Api::alloc},
+                                      {1, Dir::encrypt, Api::into},
+                                      {1, Dir::decrypt, Api::alloc},
+                                      {1, Dir::decrypt, Api::into}};
+  if (max_threads > 1) columns.push_back({max_threads, Dir::encrypt, Api::alloc});
   const std::vector<std::size_t> sizes = {64, 1024, 16384};
   const std::size_t reps = reps_flag > 0 ? reps_flag : (quick ? 2 : 9);
 
   // The text corpus sweeps the sequential encrypt/decrypt alloc cells only:
   // its purpose is the wire-expansion and effective-wire-throughput
-  // aggregates, not a second copy of the thread/shard scaling axes.
-  const std::vector<SweepColumn> text_columns = {{1, 1, Dir::encrypt, Api::alloc},
-                                                 {1, 1, Dir::decrypt, Api::alloc}};
+  // aggregates, not a second copy of the thread scaling axis.
+  const std::vector<SweepColumn> text_columns = {{1, Dir::encrypt, Api::alloc},
+                                                 {1, Dir::decrypt, Api::alloc}};
 
   std::vector<CellResult> cells;
   for (const auto& name : CipherRegistry::builtin().names()) {
@@ -642,7 +545,7 @@ int main(int argc, char** argv) try {
       for (std::size_t msg_bytes : sizes) {
         for (auto& cell : run_cells(name, msg_bytes, cols, corpus, reps)) {
           std::cout << cell.cipher << " msg=" << cell.msg_bytes << "B threads="
-                    << cell.threads << " shards=" << cell.shards << " "
+                    << cell.threads << " "
                     << dir_name(cell.dir) << "/" << api_name(cell.api) << " corpus="
                     << corpus_name(cell.corpus) << " batch="
                     << cell.batch_size << ": "
@@ -655,7 +558,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  write_json(out_path, cells, max_threads, max_shards);
+  write_json(out_path, cells, max_threads, reps);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 } catch (const std::exception& e) {

@@ -32,7 +32,8 @@ namespace mhhea::core {
 /// Probability that location j (0 <= j < N/2) is replaced by a message bit,
 /// for one key pair under a uniform scramble field. The flatter this
 /// distribution, the less a ciphertext-only attacker learns (HHEA without
-/// scrambling concentrates all mass on [K1, K2] — see src/attack).
+/// scrambling concentrates all mass on [K1, K2] — tests/crypto_test.cpp
+/// pins HHEA's fixed locations).
 [[nodiscard]] std::vector<double> location_replacement_probability(
     const KeyPair& pair, const BlockParams& params = BlockParams::paper());
 

@@ -1,7 +1,6 @@
 #include "src/core/cover.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "src/util/bits.hpp"
@@ -14,24 +13,6 @@ lfsr::Lfsr make_lfsr_for(int bits, std::uint64_t seed) {
   return lfsr::Lfsr(lfsr::primitive_polynomial(degree), seed);
 }
 }  // namespace
-
-void CoverSource::skip_blocks(int bits, std::uint64_t n) {
-  // Discard through next_blocks rather than next_block so finite sources
-  // honoring its partial-fill contract exhaust quietly: skipping past the
-  // end is documented as a non-error.
-  std::array<std::uint64_t, 64> scratch;
-  while (n > 0) {
-    const auto want =
-        static_cast<std::size_t>(std::min<std::uint64_t>(scratch.size(), n));
-    const std::size_t got = next_blocks(bits, std::span(scratch.data(), want));
-    if (got == 0) return;
-    n -= got;
-  }
-}
-
-std::unique_ptr<CoverSource> CoverSource::clone() const {
-  throw std::logic_error("CoverSource: this source is not clonable");
-}
 
 void CoverSource::reset() {
   throw std::logic_error("CoverSource: this source is not resettable");
@@ -70,18 +51,6 @@ std::size_t LfsrCover::next_blocks(int bits, std::span<std::uint64_t> out) {
   return out.size();
 }
 
-void LfsrCover::skip_blocks(int bits, std::uint64_t n) {
-  if (bits != bits_) throw std::invalid_argument("LfsrCover: block width mismatch");
-  // Every cover block consumes exactly `bits_` register steps: the degree
-  // matches the width for 16/32, and the 64-bit composition draws two
-  // 32-step blocks from its degree-32 register.
-  lfsr_.jump(n * static_cast<std::uint64_t>(bits_));
-}
-
-std::unique_ptr<CoverSource> LfsrCover::clone() const {
-  return std::make_unique<LfsrCover>(*this);
-}
-
 void LfsrCover::reset() { lfsr_.set_state(seed_); }
 
 void LfsrCover::reseed(std::uint64_t seed) {
@@ -91,7 +60,7 @@ void LfsrCover::reseed(std::uint64_t seed) {
 }
 
 BufferCover::BufferCover(std::vector<std::uint64_t> blocks)
-    : blocks_(std::make_shared<const std::vector<std::uint64_t>>(std::move(blocks))) {}
+    : blocks_(std::move(blocks)) {}
 
 BufferCover BufferCover::from_bytes16(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint64_t> blocks;
@@ -105,20 +74,16 @@ BufferCover BufferCover::from_bytes16(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t BufferCover::next_block(int bits) {
-  if (pos_ >= blocks_->size()) {
+  if (pos_ >= blocks_.size()) {
     throw std::runtime_error("BufferCover: cover data exhausted");
   }
-  return (*blocks_)[pos_++] & util::mask64(bits);
-}
-
-void BufferCover::skip_blocks(int /*bits*/, std::uint64_t n) {
-  pos_ = n >= remaining() ? blocks_->size() : pos_ + static_cast<std::size_t>(n);
+  return blocks_[pos_++] & util::mask64(bits);
 }
 
 std::size_t BufferCover::next_blocks(int bits, std::span<std::uint64_t> out) {
   const std::size_t n = std::min(out.size(), remaining());
   const std::uint64_t mask = util::mask64(bits);
-  for (std::size_t i = 0; i < n; ++i) out[i] = (*blocks_)[pos_ + i] & mask;
+  for (std::size_t i = 0; i < n; ++i) out[i] = blocks_[pos_ + i] & mask;
   pos_ += n;
   return n;
 }

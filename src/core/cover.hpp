@@ -44,22 +44,6 @@ class CoverSource {
     return out.size();
   }
 
-  /// Discard the next `n` blocks of `bits` width, as if next_block were
-  /// called `n` times with the results ignored. Sources with random access
-  /// (LfsrCover via Lfsr::jump, BufferCover via its cursor) override it with
-  /// an O(1)/O(log n) seek — the primitive that lets a shard worker position
-  /// an independent cover at its block range without replaying the stream.
-  /// Skipping past the end of a finite source is not an error; subsequent
-  /// reads simply find it exhausted (the shard planner probes past the end
-  /// deliberately). The default honors that by discarding through
-  /// next_blocks, whose partial-fill contract finite sources implement.
-  virtual void skip_blocks(int bits, std::uint64_t n);
-
-  /// A deep copy carrying this source's full state, so shard workers can
-  /// derive independent covers from one prototype. Sources that cannot be
-  /// copied throw std::logic_error (the default).
-  [[nodiscard]] virtual std::unique_ptr<CoverSource> clone() const;
-
   /// Rewind to the initial state, so a resettable cipher core can reuse one
   /// source across messages. Sources that cannot rewind throw
   /// std::logic_error (the default).
@@ -83,11 +67,6 @@ class LfsrCover final : public CoverSource {
   LfsrCover(int bits, std::uint64_t seed);
   [[nodiscard]] std::uint64_t next_block(int bits) override;
   std::size_t next_blocks(int bits, std::span<std::uint64_t> out) override;
-  /// O(log n) jump-ahead: one cover block consumes a fixed number of LFSR
-  /// steps, so skipping collapses to Lfsr::jump.
-  void skip_blocks(int bits, std::uint64_t n) override;
-  /// Copies share the (immutable) leap tables, so cloning is cheap.
-  [[nodiscard]] std::unique_ptr<CoverSource> clone() const override;
   /// Re-seeds the register with the construction seed (the leap tables are
   /// kept, so resetting is cheap).
   void reset() override;
@@ -111,18 +90,11 @@ class BufferCover final : public CoverSource {
   [[nodiscard]] static BufferCover from_bytes16(std::span<const std::uint8_t> bytes);
   [[nodiscard]] std::uint64_t next_block(int bits) override;
   std::size_t next_blocks(int bits, std::span<std::uint64_t> out) override;
-  void skip_blocks(int bits, std::uint64_t n) override;
-  /// O(1): copies share the immutable cover data, only the cursor is
-  /// per-clone — shard workers clone once each, so a deep copy of a large
-  /// stego cover would be pure overhead.
-  [[nodiscard]] std::unique_ptr<CoverSource> clone() const override {
-    return std::make_unique<BufferCover>(*this);
-  }
   void reset() override { pos_ = 0; }
-  [[nodiscard]] std::size_t remaining() const noexcept { return blocks_->size() - pos_; }
+  [[nodiscard]] std::size_t remaining() const noexcept { return blocks_.size() - pos_; }
 
  private:
-  std::shared_ptr<const std::vector<std::uint64_t>> blocks_;
+  std::vector<std::uint64_t> blocks_;
   std::size_t pos_ = 0;
 };
 
@@ -132,10 +104,6 @@ class CountingCover final : public CoverSource {
  public:
   explicit CountingCover(std::uint64_t start = 0) noexcept : start_(start), next_(start) {}
   [[nodiscard]] std::uint64_t next_block(int bits) override;
-  void skip_blocks(int /*bits*/, std::uint64_t n) override { next_ += n; }
-  [[nodiscard]] std::unique_ptr<CoverSource> clone() const override {
-    return std::make_unique<CountingCover>(*this);
-  }
   void reset() override { next_ = start_; }
 
  private:

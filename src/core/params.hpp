@@ -56,8 +56,8 @@ struct BlockParams {
   /// message bits left — vector_bits, except the short final frame. One
   /// frame always fits a 64-bit word, which is what lets the frame-batched
   /// paths move a whole frame's message bits per pass. Shared by the
-  /// encryptor/decryptor cores, the sharded planners/workers and HHEA so
-  /// the frame walk cannot drift between them.
+  /// encryptor/decryptor cores and HHEA so the frame walk cannot drift
+  /// between them.
   [[nodiscard]] constexpr int frame_budget(std::uint64_t remaining) const noexcept {
     return static_cast<int>(std::min<std::uint64_t>(
         remaining, static_cast<std::uint64_t>(vector_bits)));

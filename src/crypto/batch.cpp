@@ -7,7 +7,6 @@
 #include <string>
 
 #include "src/exec/executor.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea::crypto {
 
@@ -17,7 +16,7 @@ int resolve_threads(int n_threads, std::size_t n_items) {
   // 0 resolves to hardware concurrency; what the API enforces is >= 1
   // *after* that resolution, and the error says so (it used to claim
   // ">= 0", which is not the condition a negative count violates).
-  n_threads = util::resolve_parallelism(n_threads, "batch");
+  n_threads = exec::resolve_parallelism(n_threads, "batch");
   if (static_cast<std::size_t>(n_threads) > n_items && n_items > 0) {
     n_threads = static_cast<int>(n_items);
   }

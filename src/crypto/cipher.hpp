@@ -2,7 +2,6 @@
 // benchmark harness and examples can sweep over them uniformly.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -11,24 +10,6 @@
 #include <vector>
 
 namespace mhhea::crypto {
-
-/// Messages below this size run on the sequential path even when an
-/// adapter's `shards` knob is > 1: the shard plan + pool dispatch (~tens of
-/// microseconds) would outweigh the split work, and small-message
-/// parallelism comes from the batch API. One shared constant so every
-/// adapter (MHHEA, HHEA, YAEA-S) shards at the same threshold — Yaea also
-/// uses it as the minimum bytes *per shard*.
-inline constexpr std::size_t kMinShardMsgBytes = 1024;
-
-/// Shards actually engaged for a message of `msg_bytes` under a `shards`
-/// knob: every shard gets at least kMinShardMsgBytes of message, so the
-/// count scales down with the message instead of splitting small messages
-/// into dispatch-dominated slivers. Returns 1 (sequential) below the cutoff.
-[[nodiscard]] inline int effective_shards(int shards, std::size_t msg_bytes) {
-  return static_cast<int>(std::clamp<std::uint64_t>(
-      static_cast<std::uint64_t>(msg_bytes) / kMinShardMsgBytes, 1,
-      static_cast<std::uint64_t>(shards)));
-}
 
 /// A one-shot symmetric cipher. Implementations are deterministic given
 /// their construction parameters (key + nonce), which is what the benches
@@ -39,7 +20,7 @@ inline constexpr std::size_t kMinShardMsgBytes = 1024;
 /// The span-based `_into` calls are the primary datapath: message bytes in,
 /// ciphertext bytes out, no allocation between the caller's buffers (a
 /// warmed encrypt_into/decrypt_into loop is heap-allocation-free for every
-/// built-in cipher's single-shard path). The vector-returning encrypt() /
+/// built-in cipher). The vector-returning encrypt() /
 /// decrypt() are thin wrappers kept for convenience. Buffer sizing:
 /// max_ciphertext_size() is a cheap upper bound good for arenas;
 /// ciphertext_size() is exact but may cost a planning pass (a cover +

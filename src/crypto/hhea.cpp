@@ -1,10 +1,8 @@
 #include "src/crypto/hhea.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
-#include "src/core/shard.hpp"
 #include "src/util/bits.hpp"
 
 namespace mhhea::crypto {
@@ -198,229 +196,11 @@ void HheaDecryptor::reset(std::uint64_t message_bits) {
   out_.reserve_bits(message_bits);
 }
 
-namespace {
-
-using core::detail::ShardRange;  // max_blocks is exact for every HHEA shard
-using core::detail::cover_at;
-constexpr std::size_t kFetchChunk = core::detail::kShardFetchChunk;
-
-/// The key's fixed width cycle: block i embeds widths[i mod L] bits (capped
-/// only by frame/message budgets), so bit offsets of block boundaries are
-/// closed-form.
-// WidthCycle moved to hhea.hpp (detail::) so adapters can cache one per key;
-// alias it into this file's historical spelling.
-using WidthCycle = detail::WidthCycle;
-
-/// Continuous plan: an even block split, bit offsets by closed form.
-std::vector<ShardRange> plan_continuous(const WidthCycle& wc, std::uint64_t total_bits,
-                                        std::size_t n_shards) {
-  const std::uint64_t total_blocks = wc.blocks_for_bits(total_bits);
-  const std::uint64_t n_eff =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(n_shards), total_blocks);
-  std::vector<ShardRange> ranges;
-  for (std::uint64_t s = 0; s < n_eff; ++s) {
-    ShardRange r;
-    r.block_begin = total_blocks * s / n_eff;
-    r.max_blocks = total_blocks * (s + 1) / n_eff - r.block_begin;
-    r.bit_begin = wc.bit_at_block(r.block_begin);
-    // Only the message-final block has its width capped, so only the last
-    // shard's bit budget needs the clamp.
-    r.n_bits = std::min(wc.bit_at_block(r.block_begin + r.max_blocks), total_bits) -
-               r.bit_begin;
-    ranges.push_back(r);
-  }
-  return ranges;
-}
-
-/// Framed plan: the shared frame walk fed by the cover-free width cycle.
-/// Used identically by encrypt and decrypt (widths don't depend on V).
-std::vector<ShardRange> plan_framed(const WidthCycle& wc, const BlockParams& params,
-                                    std::uint64_t total_bits, std::size_t n_shards) {
-  std::size_t pair_idx = 0;
-  return core::detail::plan_framed_walk(params, total_bits, n_shards, [&](std::uint64_t) {
-    const auto n = static_cast<int>(wc.prefix[pair_idx + 1] - wc.prefix[pair_idx]);
-    if (++pair_idx == wc.L) pair_idx = 0;
-    return n;
-  });
-}
-
-std::vector<ShardRange> plan_shards(const WidthCycle& wc, const BlockParams& params,
-                                    std::uint64_t total_bits, std::size_t n_shards,
-                                    std::uint64_t* total_blocks) {
-  std::vector<ShardRange> ranges = params.policy == FramePolicy::framed
-                                       ? plan_framed(wc, params, total_bits, n_shards)
-                                       : plan_continuous(wc, total_bits, n_shards);
-  *total_blocks =
-      ranges.empty() ? 0 : ranges.back().block_begin + ranges.back().max_blocks;
-  return ranges;
-}
-
-/// Embed one shard into its slice of the serialized output.
-void encrypt_range(const ShardRange& r, std::span<const std::uint8_t> msg,
-                   const core::Key& key, const core::CoverSource& proto,
-                   const BlockParams& params, std::uint8_t* out) {
-  const auto cover = cover_at(proto, params, r.block_begin);
-  util::BitReader reader(msg);
-  reader.seek(static_cast<std::size_t>(r.bit_begin));
-  const bool framed = params.policy == FramePolicy::framed;
-  const int bb = params.block_bytes();
-  const auto L = static_cast<std::size_t>(key.size());
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % L);
-  std::uint64_t remaining = r.n_bits;
-  int frame_remaining = 0;  // shard boundaries are frame starts
-  std::array<std::uint64_t, kFetchChunk> buf;
-  std::size_t pos = 0;
-  std::size_t len = 0;
-  std::uint8_t* dst = out + r.block_begin * static_cast<std::uint64_t>(bb);
-  for (std::uint64_t b = 0; b < r.max_blocks; ++b, dst += bb) {
-    if (framed && frame_remaining == 0) {
-      frame_remaining = params.frame_budget(remaining);
-    }
-    if (pos == len) {
-      const auto want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kFetchChunk, r.max_blocks - b));
-      len = cover->next_blocks(params.vector_bits, std::span(buf.data(), want));
-      pos = 0;
-      if (len == 0) throw std::runtime_error("hhea_encrypt_sharded: cover source exhausted");
-    }
-    const std::uint64_t v = buf[pos++];
-    const core::KeyPair& pair = key.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == L) pair_idx = 0;
-    const int n = pair.span() + 1;
-    const auto cap = framed ? static_cast<std::uint64_t>(frame_remaining) : remaining;
-    const int w = static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(n), cap));
-    util::store_le(dst, util::deposit(v, pair.lo() + w - 1, pair.lo(), reader.read_bits(w)),
-                   bb);
-    remaining -= static_cast<std::uint64_t>(w);
-    if (framed) frame_remaining -= w;
-  }
-}
-
-/// Extract one shard into a private bit buffer (spliced in order after the
-/// join). The shard's n_bits budget already encodes every message/frame cap.
-std::vector<std::uint8_t> extract_range(std::span<const std::uint8_t> cipher,
-                                        const ShardRange& r, const core::Key& key,
-                                        const BlockParams& params) {
-  const bool framed = params.policy == FramePolicy::framed;
-  const int bb = params.block_bytes();
-  const auto L = static_cast<std::size_t>(key.size());
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % L);
-  util::BitWriter out;
-  out.reserve_bits(static_cast<std::size_t>(r.n_bits));
-  std::uint64_t remaining = r.n_bits;
-  int frame_remaining = 0;
-  const std::uint8_t* src = cipher.data() + r.block_begin * static_cast<std::uint64_t>(bb);
-  for (std::uint64_t b = 0; b < r.max_blocks; ++b, src += bb) {
-    if (framed && frame_remaining == 0) {
-      frame_remaining = params.frame_budget(remaining);
-    }
-    const std::uint64_t v = util::load_le(src, bb);
-    const core::KeyPair& pair = key.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == L) pair_idx = 0;
-    const int n = pair.span() + 1;
-    const auto cap = framed ? static_cast<std::uint64_t>(frame_remaining) : remaining;
-    const int w = static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(n), cap));
-    out.write_bits(v >> pair.lo(), w);
-    remaining -= static_cast<std::uint64_t>(w);
-    if (framed) frame_remaining -= w;
-  }
-  return out.take();
-}
-
-/// Extract one shard straight into the caller's byte slice (framed policy
-/// only: shard boundaries are frame starts, hence byte-aligned).
-void extract_range_into(std::span<const std::uint8_t> cipher, const ShardRange& r,
-                        const core::Key& key, const BlockParams& params,
-                        std::span<std::uint8_t> slice) {
-  const int bb = params.block_bytes();
-  const auto L = static_cast<std::size_t>(key.size());
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % L);
-  util::SpanBitWriter out(slice);
-  std::uint64_t remaining = r.n_bits;
-  int frame_remaining = 0;
-  const std::uint8_t* src = cipher.data() + r.block_begin * static_cast<std::uint64_t>(bb);
-  for (std::uint64_t b = 0; b < r.max_blocks; ++b, src += bb) {
-    if (frame_remaining == 0) frame_remaining = params.frame_budget(remaining);
-    const std::uint64_t v = util::load_le(src, bb);
-    const core::KeyPair& pair = key.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == L) pair_idx = 0;
-    const int n = pair.span() + 1;
-    const int w = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(std::min(n, frame_remaining)), remaining));
-    out.write_bits(v >> pair.lo(), w);
-    remaining -= static_cast<std::uint64_t>(w);
-    frame_remaining -= w;
-  }
-  out.flush();
-}
-
-/// Run the planned embed workers into `out` (presized by the caller to the
-/// plan's total_blocks). Shared by the allocating and `_into` encrypt forms
-/// so each plans exactly once.
-void run_hhea_encrypt_ranges(const std::vector<ShardRange>& ranges,
-                             std::span<const std::uint8_t> msg, const core::Key& key,
-                             const core::CoverSource& cover, exec::Executor* ex,
-                             const BlockParams& params, std::uint8_t* out) {
-  exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-    encrypt_range(ranges[s], msg, key, cover, params, out);
-  });
-}
-
-/// Shared body of the sharded decrypt forms: plan, strict length validation,
-/// and extraction into the first msg_bytes bytes of `out`.
-void run_hhea_decrypt_sharded(std::span<const std::uint8_t> cipher, const core::Key& key,
-                              std::size_t msg_bytes, int n_shards, exec::Executor* ex,
-                              std::span<std::uint8_t> out, const BlockParams& params) {
-  const auto bb = static_cast<std::size_t>(params.block_bytes());
-  if (cipher.size() % bb != 0) {
-    throw std::invalid_argument("hhea_decrypt_sharded: ciphertext not block-aligned");
-  }
-  const WidthCycle wc(key);
-  const auto total_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
-  std::uint64_t total_blocks = 0;
-  const std::vector<ShardRange> ranges =
-      plan_shards(wc, params, total_bits, static_cast<std::size_t>(n_shards), &total_blocks);
-  // Widths are deterministic, so the exact block count is known up front and
-  // the strict length contract is a single comparison.
-  const std::uint64_t have = cipher.size() / bb;
-  if (have < total_blocks) {
-    throw std::invalid_argument("hhea_decrypt_sharded: ciphertext too short for message length");
-  }
-  if (have > total_blocks) {
-    throw std::invalid_argument(
-        "hhea_decrypt_sharded: trailing ciphertext blocks after message end");
-  }
-  if (params.policy == FramePolicy::framed) {
-    // Frame-aligned shard starts are byte-aligned: write slices directly.
-    exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-      const ShardRange& r = ranges[s];
-      const std::size_t byte_begin = static_cast<std::size_t>(r.bit_begin / 8);
-      const std::size_t byte_len = static_cast<std::size_t>((r.n_bits + 7) / 8);
-      extract_range_into(cipher, r, key, params, out.subspan(byte_begin, byte_len));
-    });
-    return;
-  }
-  // Continuous shard boundaries fall on arbitrary bit offsets (the key's
-  // width cycle owes bytes nothing), so workers keep private bit buffers
-  // spliced in order into the caller's storage.
-  std::vector<std::vector<std::uint8_t>> parts(ranges.size());
-  exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-    parts[s] = extract_range(cipher, ranges[s], key, params);
-  });
-  util::SpanBitWriter sink(out.first(msg_bytes));
-  for (std::size_t s = 0; s < ranges.size(); ++s) {
-    sink.append_bits(parts[s], static_cast<std::size_t>(ranges[s].n_bits));
-  }
-  sink.flush();
-}
-
-}  // namespace
-
 std::uint64_t hhea_cipher_bytes(const core::Key& key, std::uint64_t msg_bits,
                                 BlockParams params) {
   params.validate();
   key.require_fits(params, "hhea_cipher_bytes");
-  return hhea_cipher_bytes(WidthCycle(key), msg_bits, params);
+  return hhea_cipher_bytes(detail::WidthCycle(key), msg_bits, params);
 }
 
 std::uint64_t hhea_cipher_bytes(const detail::WidthCycle& wc, std::uint64_t msg_bits,
@@ -444,83 +224,6 @@ std::uint64_t hhea_cipher_bytes(const detail::WidthCycle& wc, std::uint64_t msg_
     frame_remaining -= w;
   }
   return blocks * bb;
-}
-
-std::vector<std::uint8_t> hhea_encrypt_sharded(std::span<const std::uint8_t> msg,
-                                               const core::Key& key,
-                                               const core::CoverSource& cover, int n_shards,
-                                               exec::Executor* ex, BlockParams params) {
-  core::detail::validate_sharded(key, n_shards, params, "hhea_encrypt_sharded");
-  if (msg.empty()) return {};
-  if (n_shards == 1) {
-    auto c = cover.clone();
-    c->reset();
-    HheaEncryptor enc(key, std::move(c), params);
-    enc.feed(msg);
-    return enc.cipher_bytes();
-  }
-  const WidthCycle wc(key);
-  const auto total_bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  std::uint64_t total_blocks = 0;
-  const std::vector<ShardRange> ranges =
-      plan_shards(wc, params, total_bits, static_cast<std::size_t>(n_shards), &total_blocks);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(total_blocks) *
-                                static_cast<std::size_t>(params.block_bytes()));
-  run_hhea_encrypt_ranges(ranges, msg, key, cover, ex, params, out.data());
-  return out;
-}
-
-std::size_t hhea_encrypt_sharded_into(std::span<const std::uint8_t> msg,
-                                      const core::Key& key, const core::CoverSource& cover,
-                                      int n_shards, exec::Executor* ex,
-                                      std::span<std::uint8_t> out, BlockParams params) {
-  core::detail::validate_sharded(key, n_shards, params, "hhea_encrypt_sharded_into");
-  if (msg.empty()) return 0;
-  if (n_shards == 1) {
-    auto c = cover.clone();
-    c->reset();
-    HheaEncryptor enc(key, std::move(c), params);
-    return enc.encrypt_into(msg, out);
-  }
-  const WidthCycle wc(key);
-  const auto total_bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  std::uint64_t total_blocks = 0;
-  const std::vector<ShardRange> ranges =
-      plan_shards(wc, params, total_bits, static_cast<std::size_t>(n_shards), &total_blocks);
-  const std::size_t need = static_cast<std::size_t>(total_blocks) *
-                           static_cast<std::size_t>(params.block_bytes());
-  if (out.size() < need) {
-    throw std::length_error("hhea_encrypt_sharded_into: output buffer too small");
-  }
-  run_hhea_encrypt_ranges(ranges, msg, key, cover, ex, params, out.data());
-  return need;
-}
-
-std::vector<std::uint8_t> hhea_decrypt_sharded(std::span<const std::uint8_t> cipher,
-                                               const core::Key& key, std::size_t msg_bytes,
-                                               int n_shards, exec::Executor* ex,
-                                               BlockParams params) {
-  core::detail::validate_sharded(key, n_shards, params, "hhea_decrypt_sharded");
-  if (n_shards == 1) return hhea_decrypt(cipher, key, msg_bytes, params);
-  std::vector<std::uint8_t> msg(msg_bytes);
-  run_hhea_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, msg, params);
-  return msg;
-}
-
-std::size_t hhea_decrypt_sharded_into(std::span<const std::uint8_t> cipher,
-                                      const core::Key& key, std::size_t msg_bytes,
-                                      int n_shards, exec::Executor* ex,
-                                      std::span<std::uint8_t> out, BlockParams params) {
-  core::detail::validate_sharded(key, n_shards, params, "hhea_decrypt_sharded_into");
-  if (out.size() < msg_bytes) {
-    throw std::length_error("hhea_decrypt_sharded_into: output buffer too small");
-  }
-  if (n_shards == 1) {
-    HheaDecryptor dec(key, static_cast<std::uint64_t>(msg_bytes) * 8, params);
-    return dec.decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
-  }
-  run_hhea_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, out, params);
-  return msg_bytes;
 }
 
 std::vector<std::uint8_t> hhea_encrypt(std::span<const std::uint8_t> msg,

@@ -5,8 +5,8 @@
 // (K1, K2) = key[i mod L] and writes message bits directly (no XOR) into
 // V[K1 .. K2]. There is no location scrambling and no data scrambling —
 // which is exactly why a constant chosen-plaintext attack recovers the key
-// locations (demonstrated in src/attack/cpa.hpp) and why the paper added
-// the two scrambling steps.
+// locations (tests/crypto_test.cpp pins the fixed locations and the absent
+// data XOR) and why the paper added the two scrambling steps.
 //
 // The same CoverSource / framing machinery as the core cipher is reused so
 // HHEA and MHHEA are compared on equal footing; like core::Encryptor the
@@ -24,16 +24,15 @@
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
 #include "src/util/bitstream.hpp"
-#include "src/exec/executor.hpp"
 
 namespace mhhea::crypto {
 
 namespace detail {
 
 /// The key's per-pair embed widths (span+1 each) as a prefix-sum table —
-/// the closed-form backbone of HHEA size queries and shard planning. Build
-/// once per key and reuse: HheaCipher caches one so its size queries stop
-/// reallocating the table per call.
+/// the closed-form backbone of HHEA size queries. Build once per key and
+/// reuse: HheaCipher caches one so its size queries stop reallocating the
+/// table per call.
 struct WidthCycle {
   std::vector<std::uint64_t> prefix;  // prefix[i] = widths of pairs [0, i)
   std::uint64_t period = 0;           // prefix[L]
@@ -46,11 +45,6 @@ struct WidthCycle {
       prefix.push_back(prefix.back() + static_cast<std::uint64_t>(p.span() + 1));
     }
     period = prefix.back();
-  }
-
-  /// Message bit offset where block `b` begins (continuous policy).
-  [[nodiscard]] std::uint64_t bit_at_block(std::uint64_t b) const {
-    return b / L * period + prefix[static_cast<std::size_t>(b % L)];
   }
 
   /// Smallest block count whose capacity covers `bits` (continuous policy).
@@ -150,49 +144,6 @@ class HheaDecryptor {
     core::BlockParams params = core::BlockParams::paper());
 [[nodiscard]] std::vector<std::uint8_t> hhea_decrypt(
     std::span<const std::uint8_t> cipher, const core::Key& key, std::size_t msg_bytes,
-    core::BlockParams params = core::BlockParams::paper());
-
-// ----------------------------------------------------------------------
-// Intra-message sharding (see src/core/shard.hpp for the design). HHEA's
-// block widths are fixed by the key alone — block i always embeds
-// span(key[i mod L]) + 1 bits — so the continuous-policy plan is pure
-// arithmetic over the key's width cycle (no capacity scan at all), and the
-// framed plan is one cover-free frame walk. Workers then run fully parallel:
-// each clones `cover`, jumps to its block range (Lfsr::jump underneath) and
-// embeds/extracts its own slice.
-
-/// Sharded one-shot encryption, bit-identical to HheaEncryptor fed in one
-/// shot. `cover` is a clonable, resettable prototype; `ex` may be null
-/// (shards run inline). n_shards >= 1.
-[[nodiscard]] std::vector<std::uint8_t> hhea_encrypt_sharded(
-    std::span<const std::uint8_t> msg, const core::Key& key,
-    const core::CoverSource& cover, int n_shards, exec::Executor* ex,
-    core::BlockParams params = core::BlockParams::paper());
-
-/// Sharded decryption, bit-identical to hhea_decrypt including strictness:
-/// std::invalid_argument on misaligned, truncated or trailing ciphertext.
-[[nodiscard]] std::vector<std::uint8_t> hhea_decrypt_sharded(
-    std::span<const std::uint8_t> cipher, const core::Key& key, std::size_t msg_bytes,
-    int n_shards, exec::Executor* ex,
-    core::BlockParams params = core::BlockParams::paper());
-
-/// hhea_encrypt_sharded into caller storage: the block count is known
-/// exactly up front (hhea_cipher_bytes), the buffer is checked once, and
-/// every worker writes its disjoint slice of `out` directly. Returns the
-/// ciphertext bytes written; std::length_error when `out` is too small.
-std::size_t hhea_encrypt_sharded_into(
-    std::span<const std::uint8_t> msg, const core::Key& key,
-    const core::CoverSource& cover, int n_shards, exec::Executor* ex,
-    std::span<std::uint8_t> out, core::BlockParams params = core::BlockParams::paper());
-
-/// hhea_decrypt_sharded into caller storage (std::length_error when `out` is
-/// shorter than `msg_bytes`). Framed shards start byte-aligned and write
-/// their slices directly; continuous shard boundaries fall on arbitrary bit
-/// offsets, so those workers keep private bit buffers spliced into `out`.
-/// Returns `msg_bytes`.
-std::size_t hhea_decrypt_sharded_into(
-    std::span<const std::uint8_t> cipher, const core::Key& key, std::size_t msg_bytes,
-    int n_shards, exec::Executor* ex, std::span<std::uint8_t> out,
     core::BlockParams params = core::BlockParams::paper());
 
 }  // namespace mhhea::crypto

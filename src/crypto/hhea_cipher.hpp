@@ -6,32 +6,24 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/crypto/hhea.hpp"
-#include "src/exec/executor.hpp"
 
 namespace mhhea::crypto {
 
 class HheaCipher final : public Cipher {
  public:
   /// Validates seed, params and key-vs-params eagerly (std::invalid_argument).
-  ///
-  /// `shards` > 1 turns on intra-message parallelism (hhea_encrypt_sharded /
-  /// hhea_decrypt_sharded): block-range shards run concurrently on the shared
-  /// process executor, bit-identical to the single-shard path. 0 picks
-  /// hardware concurrency; negative counts throw std::invalid_argument.
   HheaCipher(core::Key key, std::uint64_t seed,
-             core::BlockParams params = core::BlockParams::paper(), int shards = 1);
+             core::BlockParams params = core::BlockParams::paper());
 
   [[nodiscard]] std::string name() const override { return "HHEA"; }
-  /// Straight into the caller's buffer (single-shard path is allocation-free
-  /// when warmed); the allocating encrypt()/decrypt() are the base-class
-  /// thin wrappers over these.
+  /// Straight into the caller's buffer (allocation-free when warmed); the
+  /// allocating encrypt()/decrypt() are the base-class thin wrappers over
+  /// these.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                            std::span<std::uint8_t> out) override;
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
@@ -55,21 +47,14 @@ class HheaCipher final : public Cipher {
 
   [[nodiscard]] const core::Key& key() const noexcept { return key_; }
   [[nodiscard]] const core::BlockParams& params() const noexcept { return params_; }
-  [[nodiscard]] int shards() const noexcept { return shards_; }
 
  private:
   core::Key key_;
-  std::uint64_t seed_;
   core::BlockParams params_;
-  int shards_;
   detail::WidthCycle wc_;  // key's width cycle, built once for size queries
   HheaEncryptor enc_;  // reusable core, reset per encrypt()
   HheaDecryptor dec_;  // reusable core, reset per decrypt()
   double expansion_;
-  // Sharded-mode state (null when the shard clamp resolves to 1).
-  std::unique_ptr<core::CoverSource> cover_proto_;
-  exec::Executor* exec_ = nullptr;  // Executor::shared() when fan-out pays off
-  int workers_ = 1;                 // shard clamp: min(shards_, hardware)
 };
 
 }  // namespace mhhea::crypto

@@ -7,9 +7,7 @@
 #include "src/core/analysis.hpp"
 #include "src/core/cover.hpp"
 #include "src/core/frame.hpp"
-#include "src/core/shard.hpp"
 #include "src/util/secret.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea::crypto {
 
@@ -33,27 +31,26 @@ std::uint64_t cycle_min_bits(const core::Key& key, const core::BlockParams& para
 }  // namespace
 
 MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params,
-                         Framing framing, int shards)
+                         Framing framing)
     : MhheaCipher(std::move(key), seed,
                   framing == Framing::sealed_v2 ? V2KeySchedule::derive(seed)
                                                 : V2KeySchedule{},
-                  params, framing, shards) {}
+                  params, framing) {}
 
 MhheaCipher::MhheaCipher(core::Key key, const V2KeySchedule& schedule,
-                         core::BlockParams params, Framing framing, int shards)
-    : MhheaCipher(std::move(key), 0, schedule, params, framing, shards) {
+                         core::BlockParams params, Framing framing)
+    : MhheaCipher(std::move(key), 0, schedule, params, framing) {
   if (framing != Framing::sealed_v2) {
     throw std::invalid_argument("MhheaCipher: a key schedule requires Framing::sealed_v2");
   }
 }
 
 MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule& schedule,
-                         core::BlockParams params, Framing framing, int shards)
+                         core::BlockParams params, Framing framing)
     : key_(std::move(key)),
       seed_(seed),
       params_(params),
       framing_(framing),
-      shards_(util::resolve_parallelism(shards, "MhheaCipher")),
       sched_(schedule),
       // Core construction validates params, seed and key-vs-params eagerly.
       // sealed_v2 seeds the cover for nonce 0 from the schedule (cur_nonce_
@@ -65,25 +62,7 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
            params_),
       dec_(key_, 0, params_),
       expansion_(core::expected_expansion(key_, params_)),
-      cycle_min_bits_(cycle_min_bits(key_, params_)) {
-  // The worker budget is clamped to hardware concurrency — sharding across
-  // more workers than cores measures dispatch overhead, not parallelism (the
-  // PR-4 bench recorded exactly that regression on a 1-core host). When the
-  // clamp resolves to a single worker no executor handle exists at all and
-  // every message runs the sequential resettable cores inline. Fan-out goes
-  // to the process-wide executor, so constructing a cipher spawns nothing.
-  workers_ = std::min(shards_, util::resolve_parallelism(0, "MhheaCipher"));
-  if (shards_ > 1 && workers_ > 1) {
-    cover_proto_ = core::make_lfsr_cover(
-        params_.vector_bits, framing_ == Framing::sealed_v2 ? v2_cover_seed(0) : seed_);
-    // Warm the LFSR's lazily built leap tables and jump matrix once, so
-    // every shard worker's clone shares them instead of rebuilding per call.
-    (void)cover_proto_->next_block(params_.vector_bits);
-    cover_proto_->skip_blocks(params_.vector_bits, 1);
-    cover_proto_->reset();
-    exec_ = &exec::Executor::shared();
-  }
-}
+      cycle_min_bits_(cycle_min_bits(key_, params_)) {}
 
 namespace {
 /// Messages below this never attempt compression: the envelope's tag +
@@ -150,7 +129,6 @@ void MhheaCipher::set_nonce(std::uint64_t nonce) {
   if (nonce == cur_nonce_) return;
   const std::uint64_t s = v2_cover_seed(nonce);
   enc_.reseed(s);
-  if (cover_proto_) cover_proto_->reseed(s);
   cur_nonce_ = nonce;
 }
 
@@ -174,11 +152,7 @@ std::size_t MhheaCipher::encrypt_into(std::span<const std::uint8_t> msg,
     }
     payload = out.subspan(core::FrameHeader::kSize);
   }
-  const int eff = std::min(effective_shards(shards_, msg.size()), workers_);
-  const std::size_t raw =
-      eff > 1 ? core::encrypt_sharded_into(msg, key_, *cover_proto_, eff, exec_,
-                                           payload, params_)
-              : enc_.encrypt_into(msg, payload);
+  const std::size_t raw = enc_.encrypt_into(msg, payload);
   if (framing_ == Framing::sealed) {
     core::FrameHeader h;
     h.params = params_;
@@ -231,11 +205,6 @@ std::size_t MhheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
       throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
     }
   }
-  const int eff = std::min(effective_shards(shards_, msg_bytes), workers_);
-  if (eff > 1) {
-    return core::decrypt_sharded_into(payload, key_, msg_bytes, eff, exec_, out,
-                                      params_);
-  }
   return dec_.decrypt_into(payload, message_bits, out);
 }
 
@@ -284,11 +253,7 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   // length_error covers a payload slice that cannot hold them.
   std::span<std::uint8_t> payload = out.subspan(
       core::FrameHeader::kSizeV2, out.size() - core::FrameHeader::kOverheadV2);
-  const int eff = std::min(effective_shards(shards_, body.bytes.size()), workers_);
-  const std::size_t raw =
-      eff > 1 ? core::encrypt_sharded_into(body.bytes, key_, *cover_proto_, eff, exec_,
-                                           payload, params_)
-              : enc_.encrypt_into(body.bytes, payload);
+  const std::size_t raw = enc_.encrypt_into(body.bytes, payload);
   core::FrameHeader h;
   h.version = 2;
   h.nonce = nonce;
@@ -333,16 +298,7 @@ MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(
 
 std::size_t MhheaCipher::decrypt_v2_blocks(const V2Opened& opened,
                                            std::span<std::uint8_t> out) {
-  const std::uint64_t bits = opened.header.message_bits;
-  if (bits % 8 == 0) {
-    const auto msg_bytes = static_cast<std::size_t>(bits / 8);
-    const int eff = std::min(effective_shards(shards_, msg_bytes), workers_);
-    if (eff > 1) {
-      return core::decrypt_sharded_into(opened.payload, key_, msg_bytes, eff, exec_,
-                                        out, params_);
-    }
-  }
-  return dec_.decrypt_into(opened.payload, bits, out);
+  return dec_.decrypt_into(opened.payload, opened.header.message_bits, out);
 }
 
 MhheaCipher::EnvelopeView MhheaCipher::decrypt_v2_envelope(const V2Opened& opened) {

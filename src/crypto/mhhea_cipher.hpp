@@ -40,7 +40,6 @@
 #include "src/core/params.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/crypto/mac.hpp"
-#include "src/exec/executor.hpp"
 
 namespace mhhea::crypto {
 
@@ -58,31 +57,25 @@ class MhheaCipher final : public Cipher {
   /// (std::invalid_argument), so a registry sweep fails at construction, not
   /// mid-benchmark.
   ///
-  /// `shards` > 1 turns on intra-message parallelism (core/shard.hpp): each
-  /// message is planned as that many block-range shards encrypted/decrypted
-  /// concurrently on an internal thread pool, bit-identical to the
-  /// single-shard path. 0 picks hardware concurrency; negative counts throw
-  /// std::invalid_argument. shards == 1 (the default) runs the sequential
-  /// resettable cores with zero added overhead.
   /// For Framing::sealed_v2 the `seed` doubles as the schedule master: the
   /// V2KeySchedule expands it into MAC and seed-derivation subkeys, and the
   /// cover is seeded for nonce 0 (the seed's low bits are not used directly,
   /// so the non-zero constraint does not apply to this framing).
   MhheaCipher(core::Key key, std::uint64_t seed,
               core::BlockParams params = core::BlockParams::paper(),
-              Framing framing = Framing::raw, int shards = 1);
+              Framing framing = Framing::raw);
 
   /// Sealed-v2 with an explicit key schedule (how crypto::Session builds its
   /// cipher from a caller-provided master secret). `framing` must be
   /// sealed_v2 — std::invalid_argument otherwise.
   MhheaCipher(core::Key key, const V2KeySchedule& schedule, core::BlockParams params,
-              Framing framing, int shards = 1);
+              Framing framing);
 
   MhheaCipher(MhheaCipher&&) noexcept = default;
   MhheaCipher& operator=(MhheaCipher&&) noexcept = default;
   /// Wipes the stored seed — under sealed_v2 it is the schedule master, so
   /// it must not outlive the cipher (key_ and sched_ wipe themselves; copies
-  /// were already excluded by the unique_ptr shard state).
+  /// are excluded by the unique_ptr compressor slots).
   ~MhheaCipher() override;
 
   [[nodiscard]] std::string name() const override {
@@ -94,12 +87,11 @@ class MhheaCipher final : public Cipher {
       default: return "MHHEA";
     }
   }
-  /// One-shot encryption straight into the caller's buffer: the core's
-  /// final-sized block planner (no tail-replay bookkeeping) for shards == 1,
-  /// the sharded planner writing disjoint slices for shards > 1; sealed
+  /// One-shot encryption straight into the caller's buffer through the
+  /// core's final-sized block planner (no tail-replay bookkeeping); sealed
   /// framing writes its 16-byte header in place ahead of the blocks, and
   /// sealed_v2 seals under nonce 0 (header + blocks + MAC trailer). The
-  /// warmed single-shard path performs zero heap allocations.
+  /// warmed path performs zero heap allocations.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                            std::span<std::uint8_t> out) override;
   /// For sealed framings, `msg_bytes` must agree with the header's message
@@ -134,7 +126,7 @@ class MhheaCipher final : public Cipher {
   /// MAC over everything before the tag, written into `out` (std::length_error
   /// when it cannot fit). Returns the container bytes. The cover is re-seeded
   /// from the schedule's per-nonce derivation, so distinct nonces never share
-  /// keystream. Zero heap allocations once warmed (single-shard).
+  /// keystream. Zero heap allocations once warmed.
   std::size_t seal_v2_into(std::span<const std::uint8_t> msg, std::uint64_t nonce,
                            std::span<std::uint8_t> out);
   /// Container bytes seal_v2_into would produce (nonce-independent: the
@@ -168,13 +160,12 @@ class MhheaCipher final : public Cipher {
   [[nodiscard]] const core::Key& key() const noexcept { return key_; }
   [[nodiscard]] const core::BlockParams& params() const noexcept { return params_; }
   [[nodiscard]] Framing framing() const noexcept { return framing_; }
-  [[nodiscard]] int shards() const noexcept { return shards_; }
 
  private:
   /// Delegation target of the public constructors: `schedule` is live only
   /// under Framing::sealed_v2.
   MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule& schedule,
-              core::BlockParams params, Framing framing, int shards);
+              core::BlockParams params, Framing framing);
 
   /// Cover seed for sealed_v2 under `nonce` (other framings use seed_).
   [[nodiscard]] std::uint64_t v2_cover_seed(std::uint64_t nonce) const;
@@ -202,9 +193,9 @@ class MhheaCipher final : public Cipher {
   [[nodiscard]] EnvelopeView decrypt_v2_envelope(const V2Opened& opened);
   /// The uncompressed block-decrypt half of decrypt_v2_payload.
   std::size_t decrypt_v2_blocks(const V2Opened& opened, std::span<std::uint8_t> out);
-  /// Point the encryptor core (and the shard prototype) at `nonce`'s derived
-  /// cover seed. No-op when already there — consecutive same-nonce calls
-  /// (size query then seal) pay one derivation, zero reseeds.
+  /// Point the encryptor core at `nonce`'s derived cover seed. No-op when
+  /// already there — consecutive same-nonce calls (size query then seal)
+  /// pay one derivation, zero reseeds.
   void set_nonce(std::uint64_t nonce);
   void require_v2(const char* what) const;
 
@@ -212,9 +203,8 @@ class MhheaCipher final : public Cipher {
   std::uint64_t seed_;  // [[mhhea::secret]] v2 schedule master; a nonce otherwise
   core::BlockParams params_;
   Framing framing_;
-  int shards_;
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
-  std::uint64_t cur_nonce_ = 0;  // nonce enc_/cover_proto_ are seeded for
+  std::uint64_t cur_nonce_ = 0;  // nonce enc_ is seeded for
   core::Encryptor enc_;  // reusable core, reset per encrypt()
   core::Decryptor dec_;  // reusable core, reset per decrypt()
   // Compression pre-stage (sealed_v2 only): the outbound method knob, the
@@ -228,14 +218,6 @@ class MhheaCipher final : public Cipher {
   std::vector<std::uint8_t> z_open_buf_;
   double expansion_;
   std::uint64_t cycle_min_bits_;  // sum of per-pair minimum widths (for the bound)
-  // Sharded-mode state (null when the shards knob or the host resolves to a
-  // single worker — the budget is clamped to hardware concurrency, and with
-  // one worker the plan runs inline on the sequential cores instead): the
-  // cover prototype each shard worker clones and jumps, and a handle to the
-  // process-wide work-stealing executor the fan-out runs on.
-  std::unique_ptr<core::CoverSource> cover_proto_;
-  exec::Executor* exec_ = nullptr;  // Executor::shared() when fan-out pays off
-  int workers_ = 1;                 // shard clamp: min(shards_, hardware)
 };
 
 }  // namespace mhhea::crypto

@@ -43,14 +43,14 @@ void CipherRegistry::register_cipher(std::string name, CipherFactory factory) {
   }
 }
 
-std::unique_ptr<Cipher> CipherRegistry::make(std::string_view name, std::uint64_t seed,
-                                             int shards) const {
+std::unique_ptr<Cipher> CipherRegistry::make(std::string_view name,
+                                             std::uint64_t seed) const {
   const auto it = factories_.find(name);
   if (it == factories_.end()) {
     throw std::invalid_argument("CipherRegistry: unknown cipher '" + std::string(name) +
                                 "'");
   }
-  return it->second(seed, shards);
+  return it->second(seed);
 }
 
 bool CipherRegistry::contains(std::string_view name) const {
@@ -67,36 +67,36 @@ std::vector<std::string> CipherRegistry::names() const {
 const CipherRegistry& CipherRegistry::builtin() {
   static const CipherRegistry registry = [] {
     CipherRegistry r;
-    r.register_cipher("MHHEA", [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
+    r.register_cipher("MHHEA", [](std::uint64_t seed) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);
       const auto params = core::BlockParams::paper();
       core::Key key = core::Key::random(rng, kRegistryKeyPairs, params);
       return std::make_unique<MhheaCipher>(std::move(key),
                                            nonzero_seed(rng, cover_seed_bits(params)),
-                                           params, MhheaCipher::Framing::raw, shards);
+                                           params, MhheaCipher::Framing::raw);
     });
     // The framed/hardware configuration measured end to end through the
     // core::seal/open container (16-byte self-describing header + blocks).
     r.register_cipher("MHHEA-sealed",
-                      [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
+                      [](std::uint64_t seed) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);
       const auto params = core::BlockParams::hardware();
       core::Key key = core::Key::random(rng, kRegistryKeyPairs, params);
       return std::make_unique<MhheaCipher>(std::move(key),
                                            nonzero_seed(rng, cover_seed_bits(params)),
-                                           params, MhheaCipher::Framing::sealed, shards);
+                                           params, MhheaCipher::Framing::sealed);
     });
     // The authenticated container (24-byte nonce-carrying header + blocks +
     // SipHash-128 trailer) over the same hardware configuration — sweeping
     // it next to MHHEA-sealed is what prices the MAC into the bench. The
     // sweep seed doubles as the V2 schedule master (see MhheaCipher).
     r.register_cipher("MHHEA-sealed-v2",
-                      [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
+                      [](std::uint64_t seed) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);
       const auto params = core::BlockParams::hardware();
       core::Key key = core::Key::random(rng, kRegistryKeyPairs, params);
       return std::make_unique<MhheaCipher>(std::move(key), rng.next(), params,
-                                           MhheaCipher::Framing::sealed_v2, shards);
+                                           MhheaCipher::Framing::sealed_v2);
     });
     // The compression pre-stage over the same authenticated container:
     // identical key/schedule derivation to MHHEA-sealed-v2 (same seed ->
@@ -104,30 +104,30 @@ const CipherRegistry& CipherRegistry::builtin() {
     // outbound seals — the configuration the wire-expansion aggregates
     // compare against its uncompressed twin.
     r.register_cipher("MHHEA-sealed-v2-z",
-                      [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
+                      [](std::uint64_t seed) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);
       const auto params = core::BlockParams::hardware();
       core::Key key = core::Key::random(rng, kRegistryKeyPairs, params);
       auto cipher = std::make_unique<MhheaCipher>(std::move(key), rng.next(), params,
-                                                  MhheaCipher::Framing::sealed_v2, shards);
+                                                  MhheaCipher::Framing::sealed_v2);
       cipher->set_compression(compress::Method::lzss);
       return cipher;
     });
-    r.register_cipher("HHEA", [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
+    r.register_cipher("HHEA", [](std::uint64_t seed) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);
       const auto params = core::BlockParams::paper();
       core::Key key = core::Key::random(rng, kRegistryKeyPairs, params);
       return std::make_unique<HheaCipher>(std::move(key),
                                           nonzero_seed(rng, cover_seed_bits(params)),
-                                          params, shards);
+                                          params);
     });
-    r.register_cipher("YAEA-S", [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
+    r.register_cipher("YAEA-S", [](std::uint64_t seed) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);
       Yaea::KeyType key;
       key.seed_a = static_cast<std::uint32_t>(nonzero_seed(rng, GeffeKeystream::kDegreeA));
       key.seed_b = static_cast<std::uint32_t>(nonzero_seed(rng, GeffeKeystream::kDegreeB));
       key.seed_c = static_cast<std::uint32_t>(nonzero_seed(rng, GeffeKeystream::kDegreeC));
-      return std::make_unique<Yaea>(key, shards);
+      return std::make_unique<Yaea>(key);
     });
     return r;
   }();

@@ -24,11 +24,7 @@ namespace mhhea::crypto {
 /// must always yield the same cipher configuration (keys, nonces), so two
 /// instances made with equal seeds are interchangeable — the property the
 /// batch-vs-sequential equivalence tests and the bench harness depend on.
-/// `shards` is the intra-message parallelism knob, passed through to the
-/// cipher; it must never change the produced bytes, only how they are
-/// computed (the shard-vs-sequential equivalence tests enforce this).
-using CipherFactory =
-    std::function<std::unique_ptr<Cipher>(std::uint64_t seed, int shards)>;
+using CipherFactory = std::function<std::unique_ptr<Cipher>(std::uint64_t seed)>;
 
 class CipherRegistry {
  public:
@@ -37,9 +33,8 @@ class CipherRegistry {
   void register_cipher(std::string name, CipherFactory factory);
 
   /// Instantiate a registered cipher. Throws std::invalid_argument for an
-  /// unknown name (and, via the adapters, for a negative shard count).
-  [[nodiscard]] std::unique_ptr<Cipher> make(std::string_view name, std::uint64_t seed,
-                                             int shards = 1) const;
+  /// unknown name.
+  [[nodiscard]] std::unique_ptr<Cipher> make(std::string_view name, std::uint64_t seed) const;
 
   [[nodiscard]] bool contains(std::string_view name) const;
   /// Registered names, sorted.

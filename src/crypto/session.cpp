@@ -23,28 +23,27 @@ core::Key derive_hiding_key(const V2KeySchedule& sched, int n_pairs,
 }  // namespace
 
 Session::Session(std::span<const std::uint8_t> master, core::Key key,
-                 core::BlockParams params, int shards)
-    : Session(master, {}, std::move(key), params, shards) {}
+                 core::BlockParams params)
+    : Session(master, {}, std::move(key), params) {}
 
 Session::Session(std::span<const std::uint8_t> master,
                  std::span<const std::uint8_t> context, core::Key key,
-                 core::BlockParams params, int shards)
+                 core::BlockParams params)
     : cipher_(std::move(key), V2KeySchedule::derive(master, context), params,
-              MhheaCipher::Framing::sealed_v2, shards) {}
+              MhheaCipher::Framing::sealed_v2) {}
 
 Session Session::from_master(std::span<const std::uint8_t> master, int n_pairs,
-                             core::BlockParams params, int shards) {
-  return from_master(master, {}, n_pairs, params, shards);
+                             core::BlockParams params) {
+  return from_master(master, {}, n_pairs, params);
 }
 
 Session Session::from_master(std::span<const std::uint8_t> master,
                              std::span<const std::uint8_t> context, int n_pairs,
-                             core::BlockParams params, int shards) {
+                             core::BlockParams params) {
   // The context feeds the schedule before the hiding key is drawn, so the
   // hiding key (not just the MAC/seed subkeys) differs per context too.
   const V2KeySchedule sched = V2KeySchedule::derive(master, context);
-  return Session(master, context, derive_hiding_key(sched, n_pairs, params), params,
-                 shards);
+  return Session(master, context, derive_hiding_key(sched, n_pairs, params), params);
 }
 
 void Session::require_nonce_available() const {

@@ -69,30 +69,28 @@ class Session {
   static constexpr std::uint64_t kNonceExhausted = ~std::uint64_t{0};
 
   /// Session over an explicit hiding key. `master` (non-empty) feeds the
-  /// V2KeySchedule; `key` must fit `params`. `shards` as in MhheaCipher.
+  /// V2KeySchedule; `key` must fit `params`.
   Session(std::span<const std::uint8_t> master, core::Key key,
-          core::BlockParams params = core::BlockParams::hardware(), int shards = 1);
+          core::BlockParams params = core::BlockParams::hardware());
   /// Context-separated variant: `context` (public bytes — e.g. a direction
   /// label plus a per-connection salt) is mixed into the key schedule, so
   /// sessions under one master but different contexts share no keystream and
   /// their containers do not cross-verify (V2KeySchedule::derive semantics).
   Session(std::span<const std::uint8_t> master, std::span<const std::uint8_t> context,
-          core::Key key, core::BlockParams params = core::BlockParams::hardware(),
-          int shards = 1);
+          core::Key key, core::BlockParams params = core::BlockParams::hardware());
 
   /// Derive everything from the master secret alone: the hiding key is drawn
   /// from a schedule-seeded deterministic RNG with `n_pairs` pairs, so both
   /// endpoints construct identical sessions from the shared master.
   [[nodiscard]] static Session from_master(
       std::span<const std::uint8_t> master, int n_pairs = 8,
-      core::BlockParams params = core::BlockParams::hardware(), int shards = 1);
+      core::BlockParams params = core::BlockParams::hardware());
   /// Context-separated from_master: the context flows into the schedule AND
   /// the derived hiding key, so each (master, context) pair is an
   /// independent cipher. Both endpoints must pass identical context bytes.
   [[nodiscard]] static Session from_master(
       std::span<const std::uint8_t> master, std::span<const std::uint8_t> context,
-      int n_pairs = 8, core::BlockParams params = core::BlockParams::hardware(),
-      int shards = 1);
+      int n_pairs = 8, core::BlockParams params = core::BlockParams::hardware());
 
   /// Seal `msg` under the next counter value (the container carries it as
   /// the nonce). The counter increments only on success; once it reaches

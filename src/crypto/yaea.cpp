@@ -1,7 +1,5 @@
 #include "src/crypto/yaea.hpp"
 
-#include "src/util/thread_pool.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -9,7 +7,6 @@
 #include "src/util/secret.hpp"
 
 namespace mhhea::crypto {
-
 
 GeffeKeystream::~GeffeKeystream() {
   a_.wipe_state();
@@ -117,17 +114,10 @@ void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
   }
 }
 
-void GeffeKeystream::jump(std::uint64_t n_bits) {
-  a_.jump(n_bits);
-  b_.jump(n_bits);
-  c_.jump(n_bits);
-}
-
 void GeffeKeystream::warm() {
   for (lfsr::Lfsr* r : {&a_, &b_, &c_}) {
     const std::uint64_t s = r->state();
     (void)r->next_block();  // builds the leap tables
-    r->jump(0);             // builds the one-step jump matrix
     r->set_state(s);
   }
   // Lane tables only pay off on a multi-lane backend; a later backend
@@ -135,19 +125,12 @@ void GeffeKeystream::warm() {
   if (backend::active().lanes() > 1) ensure_lane_tables();
 }
 
-Yaea::Yaea(KeyType key, int shards)
+Yaea::Yaea(KeyType key)
     : key_(key),
-      shards_(util::resolve_parallelism(shards, "Yaea")),
       // Constructing the prototype validates the seeds eagerly (the registry
       // contract: bad configurations fail at construction, not mid-sweep).
       ks_proto_(key.seed_a, key.seed_b, key.seed_c) {
   ks_proto_.warm();
-  // The worker count is clamped to hardware concurrency: sharding a message
-  // across more workers than cores only buys dispatch overhead, and a fan-out
-  // of one would always run inline anyway. Work goes to the process-wide
-  // executor — constructing a cipher no longer spawns threads.
-  workers_ = std::min(shards_, util::resolve_parallelism(0, "Yaea"));
-  if (shards_ > 1 && workers_ > 1) exec_ = &exec::Executor::shared();
 }
 
 Yaea::~Yaea() { util::secure_wipe_object(key_); }
@@ -157,23 +140,11 @@ std::size_t Yaea::encrypt_into(std::span<const std::uint8_t> msg,
   if (out.size() < msg.size()) {
     throw std::length_error("Yaea::encrypt_into: output buffer too small");
   }
-  // Contiguous byte ranges, each with an independently jumped keystream —
-  // one keystream byte consumes 8 steps of each register, so the shard at
-  // byte offset o starts from jump(8 * o). The shard count is additionally
-  // clamped to the worker budget: on a host where that resolved to one
-  // worker, the plan runs inline as a single range.
-  const auto n = static_cast<std::size_t>(
-      std::min(effective_shards(shards_, msg.size()), workers_));
-  exec::run_indexed(n > 1 ? exec_ : nullptr, n, [&](std::size_t s) {
-    const std::size_t begin = msg.size() * s / n;
-    const std::size_t end = msg.size() * (s + 1) / n;
-    GeffeKeystream ks = ks_proto_;
-    ks.jump(static_cast<std::uint64_t>(begin) * 8);
-    // Fused keystream-XOR straight between the caller's spans (no staging
-    // buffer): every kernel reads its input word before writing the output
-    // word at the same offset, so `out` may alias `msg` exactly.
-    ks.xor_bytes(msg.subspan(begin, end - begin), out.subspan(begin, end - begin));
-  });
+  // Fused keystream-XOR straight between the caller's spans (no staging
+  // buffer): every kernel reads its input word before writing the output
+  // word at the same offset, so `out` may alias `msg` exactly.
+  GeffeKeystream ks = ks_proto_;
+  ks.xor_bytes(msg, out.first(msg.size()));
   return msg.size();
 }
 

@@ -14,9 +14,9 @@
 // Table 1 needs from YAEA: a conventional (non-hiding) stream cipher with a
 // short critical path and small area, hence the highest functional density.
 // Its known weakness (75% correlation of z with both b and c — the classic
-// Geffe correlation attack, implemented in src/attack) stands in for the
-// paper's caveat that "different algorithms have different degrees of
-// security".
+// Geffe correlation attack; tests/crypto_test.cpp pins the combiner's truth
+// table) stands in for the paper's caveat that "different algorithms have
+// different degrees of security".
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include "src/backend/backend.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/lfsr/lfsr.hpp"
-#include "src/exec/executor.hpp"
 
 namespace mhhea::crypto {
 
@@ -44,8 +43,8 @@ class GeffeKeystream {
 
   // The three register states ARE the 96-bit YAEA-S key (unlike the MHHEA
   // cover seed, which is a nonce — cover.hpp), so every keystream instance
-  // wipes them on destruction. Copies are the per-call/per-shard working
-  // pattern and each wipes its own states; the shared leap tables they
+  // wipes them on destruction. Copies are the per-call working pattern
+  // and each wipes its own states; the shared leap tables they
   // carry are key-independent public data.
   GeffeKeystream(const GeffeKeystream&) = default;
   GeffeKeystream& operator=(const GeffeKeystream&) = default;
@@ -78,17 +77,10 @@ class GeffeKeystream {
   /// stream exactly like next_bytes(out).
   void xor_bytes(std::span<const std::uint8_t> in, std::span<std::uint8_t> out);
 
-  /// Advance the keystream by `n_bits` positions in O(log n) — every output
-  /// bit consumes exactly one step of each component register, so the jump
-  /// is three Lfsr::jump calls. This is what lets a shard worker seed its
-  /// keystream at an arbitrary byte offset without replaying the stream.
-  void jump(std::uint64_t n_bits);
-
-  /// Build the component registers' leap tables, jump matrices, and the
-  /// backend lane tables in place without advancing the stream. Copies
-  /// share the built tables, so warming one long-lived prototype makes
-  /// per-message/per-shard copies start on the fast path immediately — the
-  /// same amortization MhheaCipher applies to its cover prototype.
+  /// Build the component registers' leap tables and the backend lane
+  /// tables in place without advancing the stream. Copies share the built
+  /// tables, so warming one long-lived prototype makes per-message copies
+  /// start on the fast path immediately.
   void warm();
 
  private:
@@ -114,12 +106,6 @@ class GeffeKeystream {
 };
 
 /// 96-bit-keyed stream cipher: ciphertext = plaintext XOR keystream.
-///
-/// `shards` > 1 splits each message into that many contiguous byte ranges
-/// XORed in parallel on the shared process executor, each range's keystream
-/// seeded independently by GeffeKeystream::jump — bit-identical to the
-/// sequential stream for every shard count. 0 picks hardware concurrency;
-/// negative counts throw std::invalid_argument.
 class Yaea final : public Cipher {
  public:
   struct KeyType {
@@ -128,7 +114,7 @@ class Yaea final : public Cipher {
     std::uint32_t seed_c = 0;
   };
 
-  explicit Yaea(KeyType key, int shards = 1);
+  explicit Yaea(KeyType key);
   Yaea(Yaea&&) noexcept = default;
   Yaea& operator=(Yaea&&) noexcept = default;
   /// Wipes the stored key seeds (the keystream prototype wipes its own
@@ -136,10 +122,9 @@ class Yaea final : public Cipher {
   ~Yaea() override;
 
   [[nodiscard]] std::string name() const override { return "YAEA-S"; }
-  /// Keystream XOR straight from `msg` to `out`, chunked through a stack
-  /// buffer so it is aliasing-safe: `out` may be the same span as `msg`
-  /// (in-place encryption) or disjoint from it; partial overlap is not
-  /// supported. Zero heap allocations on the single-shard path.
+  /// Keystream XOR straight from `msg` to `out`, aliasing-safe: `out` may
+  /// be the same span as `msg` (in-place encryption) or disjoint from it;
+  /// partial overlap is not supported. Zero heap allocations.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                            std::span<std::uint8_t> out) override;
   /// Strict contract: a stream cipher's ciphertext is exactly as long as the
@@ -156,16 +141,12 @@ class Yaea final : public Cipher {
     return msg_bytes;
   }
   [[nodiscard]] double expansion() const override { return 1.0; }
-  [[nodiscard]] int shards() const noexcept { return shards_; }
 
  private:
   KeyType key_;  // [[mhhea::secret]] the three Geffe seeds
-  int shards_;
   /// Pristine keystream at the seed state with warmed tables; every call
   /// copies it (cheap — tables are shared) instead of re-deriving them.
   GeffeKeystream ks_proto_;
-  exec::Executor* exec_ = nullptr;  // Executor::shared() when fan-out pays off
-  int workers_ = 1;                 // shard clamp: min(shards_, hardware)
 };
 
 }  // namespace mhhea::crypto

@@ -1,9 +1,8 @@
 #include "src/exec/executor.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea::exec {
 
@@ -21,6 +20,19 @@ thread_local WorkerIdentity tls_worker;
 constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
 
 }  // namespace
+
+int resolve_parallelism(int n, const char* who) {
+  if (n == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }
+  if (n < 1) {
+    throw std::invalid_argument(std::string(who) +
+                                ": parallelism must resolve to >= 1 (0 picks hardware "
+                                "concurrency; negative counts are invalid)");
+  }
+  return n;
+}
 
 Executor::Executor(int n_workers) {
   if (n_workers < 1) throw std::invalid_argument("Executor: need >= 1 worker");
@@ -129,7 +141,7 @@ void Executor::worker_loop(std::size_t index) {
 }
 
 Executor& Executor::shared() {
-  static Executor instance(util::resolve_parallelism(0, "Executor::shared"));
+  static Executor instance(resolve_parallelism(0, "Executor::shared"));
   return instance;
 }
 

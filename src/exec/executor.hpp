@@ -1,32 +1,34 @@
 // Persistent work-stealing executor — the one thread home for every
 // concurrent path in the repo.
 //
-// Why it exists: the PR-1 util::ThreadPool was constructed per batch call and
-// per cipher instance, so every fan-out paid thread spawn/join and every
-// small message paid wakeup latency on a cold pool. A long-lived server
-// cannot afford either. The Executor is constructed once (usually the
-// process-wide shared() instance, sized to hardware concurrency) and shared
-// by encrypt_batch, the shard planners and the server's request handlers.
+// Why it exists: a pool built per batch call pays thread spawn/join on every
+// fan-out, and every small message pays wakeup latency on a cold pool. A
+// long-lived server cannot afford either. The Executor is constructed once
+// (usually the process-wide shared() instance, sized to hardware
+// concurrency) and shared by encrypt_batch and the server's request
+// handlers. Each message is encrypted or decrypted sequentially on one
+// thread; the parallelism here is across messages.
 //
 // Design:
 //   * per-worker deques + a shared injection queue. A worker pushes its own
 //     submissions to its deque and pops LIFO (locality); idle workers steal
-//     FIFO from the injection queue and from each other, so one connection's
-//     shard fan-out spreads across cores without a central bottleneck.
-//     Queues are mutex-per-deque — tasks here are coarse (a shard range, a
+//     FIFO from the injection queue and from each other, so a batch fan-out
+//     spreads across cores without a central bottleneck.
+//     Queues are mutex-per-deque — tasks here are coarse (a batch worker, a
 //     whole request), so contention is on the order of the task count, not
 //     the work, and the locking is trivially ThreadSanitizer-clean.
 //   * TaskGroup: fork-join with a completion latch and exception routing.
 //     Waiters HELP: while the group is outstanding they execute queued tasks
-//     instead of blocking, so nested fan-out (a server request task that
-//     itself shards a large message onto the same executor) cannot deadlock
-//     even on a single-worker executor.
+//     instead of blocking, so nested fan-out (a task that itself runs a
+//     group on the same executor) cannot deadlock even on a single-worker
+//     executor.
 //   * graceful drain on shutdown: the destructor completes every queued task
 //     before joining — submitted work is never dropped.
 //
-// Submission after shutdown began throws (like ThreadPool); exec::run_indexed
-// catches mid-fan-out submit failures, joins the tasks it already queued
-// (their closures reference the caller's frame) and only then rethrows.
+// Submission after shutdown began throws std::runtime_error. TaskGroup::run
+// rolls its pending count back on that rejection, so a caller whose fan-out
+// fails midway still wait()s for the tasks it already queued (their
+// closures may reference the caller's frame) before rethrowing.
 #pragma once
 
 #include <condition_variable>
@@ -42,10 +44,16 @@
 
 namespace mhhea::exec {
 
+/// Resolve a user-facing parallelism knob (batch threads, executor size):
+/// 0 picks hardware concurrency, >= 1 is taken as-is. The enforced
+/// condition is >= 1 *after* the 0 resolution, so negative counts throw
+/// std::invalid_argument saying exactly that.
+[[nodiscard]] int resolve_parallelism(int n, const char* who);
+
 class Executor {
  public:
   /// Spawns `n_workers` persistent workers (>= 1; std::invalid_argument
-  /// otherwise — 0 is NOT resolved here, pass util::resolve_parallelism(0)
+  /// otherwise — 0 is NOT resolved here, pass resolve_parallelism(0, ...)
   /// for hardware concurrency).
   explicit Executor(int n_workers);
 
@@ -70,9 +78,9 @@ class Executor {
   bool try_run_one();
 
   /// The process-wide executor: hardware-concurrency workers, constructed on
-  /// first use, alive for the rest of the process. This is the instance the
-  /// cipher adapters, encrypt_batch and the server share so the whole
-  /// process pays thread creation exactly once.
+  /// first use, alive for the rest of the process. This is the instance
+  /// encrypt_batch and the server share so the whole process pays thread
+  /// creation exactly once.
   static Executor& shared();
 
  private:
@@ -175,33 +183,5 @@ class TaskGroup {
   std::size_t pending_ = 0;
   std::exception_ptr first_error_;
 };
-
-/// Run `task(i)` for every i in [0, n) — fanned out on `ex` when one is
-/// given, inline on the calling thread otherwise (same results, no
-/// parallelism). Blocks until every task finished; the first task exception
-/// is rethrown on the calling thread. Unlike the legacy ThreadPool form this
-/// needs no whole-pool barrier: the group's latch isolates concurrent
-/// callers, so any number of fan-outs share one executor.
-template <typename Task>
-void run_indexed(Executor* ex, std::size_t n, const Task& task) {
-  if (n == 0) return;
-  if (ex == nullptr || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
-  TaskGroup group(*ex);
-  std::exception_ptr submit_error;
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      group.run([&task, i] { task(i); });
-    }
-  } catch (...) {
-    // A mid-fan-out submission failure (executor shutting down): the tasks
-    // already queued reference `task` on this frame, so join them first.
-    submit_error = std::current_exception();
-  }
-  group.wait();
-  if (submit_error != nullptr) std::rethrow_exception(submit_error);
-}
 
 }  // namespace mhhea::exec

@@ -88,7 +88,7 @@ const Lfsr::StepMatrix& Lfsr::step_matrix() {
   if (step_m_ == nullptr) {
     // Column b: where basis state 1<<b lands after a single step() — probing
     // the register keeps both forms bit-exact. Cached and shared by copies
-    // (like the leap tables) since sharded covers jump once per worker.
+    // like the leap tables.
     auto m = std::make_shared<StepMatrix>();
     for (int b = 0; b < poly_.degree; ++b) {
       Lfsr probe(poly_, std::uint64_t{1} << b, form_);
@@ -109,25 +109,6 @@ std::uint32_t Lfsr::mat_vec(const StepMatrix& a, std::uint32_t v, int d) noexcep
     v &= v - 1;
   }
   return r;
-}
-
-void Lfsr::jump(std::uint64_t n) {
-  const int d = poly_.degree;
-  StepMatrix m = step_matrix();
-  // Square-and-multiply: fold M^(2^k) into the state for each set bit of n.
-  std::uint32_t s = static_cast<std::uint32_t>(state_);
-  while (n != 0) {
-    if ((n & 1) != 0) s = mat_vec(m, s, d);
-    n >>= 1;
-    if (n != 0) {
-      StepMatrix sq{};
-      for (int j = 0; j < d; ++j) {
-        sq[static_cast<std::size_t>(j)] = mat_vec(m, m[static_cast<std::size_t>(j)], d);
-      }
-      m = sq;
-    }
-  }
-  state_ = s;
 }
 
 backend::LinearMapTables Lfsr::power_tables(std::uint64_t steps) {
@@ -204,7 +185,7 @@ void Lfsr::next_blocks(std::span<std::uint64_t> out) {
     while (out.size() - done >= 2 * kPass) {
       const std::size_t lanes = std::min(lane_cap, (out.size() - done) / kPass);
       // Lane l starts where lane l-1 will end: one lane-stride application
-      // per seed, exact by GF(2) linearity (no replay, no O(log n) jump).
+      // per seed, exact by GF(2) linearity (no replay).
       states[0] = static_cast<std::uint32_t>(state_);
       for (std::size_t l = 1; l < lanes; ++l) states[l] = lane_adv_->apply(states[l - 1]);
       be.lfsr_blocks(t, poly_.degree, states, lanes, out.data() + done, kPass);

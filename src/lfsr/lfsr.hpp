@@ -53,18 +53,6 @@ class Lfsr {
   /// Advance `n` steps, discarding output.
   void advance(std::uint64_t n) noexcept;
 
-  /// Advance `n` steps in O(log n) time — bit-identical to advance(n).
-  ///
-  /// The single-step transition is GF(2)-linear for both register forms, so
-  /// jumping is multiplication by the n-th power of the transition matrix,
-  /// computed by square-and-multiply. Like the leap tables, the matrix is
-  /// derived by probing step() on basis states, so the two fast paths can
-  /// never drift from the normative bit-serial register. This is what lets a
-  /// shard worker seed its cover/keystream state at an arbitrary block
-  /// offset without replaying the stream (~2.5k word ops per call for the
-  /// paper's degree-16 register vs. n sequential steps).
-  void jump(std::uint64_t n);
-
   /// Advance `degree` steps and return the new state — one "fresh" block.
   /// This is the hiding-vector source: for the paper's 16-bit LFSR, each
   /// call yields the next V ("Generate 16-bit randomly and set them in V").
@@ -119,16 +107,20 @@ class Lfsr {
 
   /// Byte tables of the `steps`-step transition map M^steps, built by
   /// square-and-multiply on the probed one-step matrix — the general form
-  /// of the leap tables (steps == degree). This is how the Geffe kernel's
-  /// 64-step update map and the lane-stride seeding maps are made; each
-  /// call builds fresh tables (callers cache what they keep).
+  /// of the leap tables (steps == degree). The single-step transition is
+  /// GF(2)-linear for both register forms and the matrix is derived by
+  /// probing step() on basis states, so applying the tables is bit-identical
+  /// to advance(steps). This is how the Geffe kernel's 64-step update map
+  /// and the lane-stride seeding maps are made; each call builds fresh
+  /// tables (callers cache what they keep).
   [[nodiscard]] backend::LinearMapTables power_tables(std::uint64_t steps);
 
  private:
   /// Per-byte leap tables: state after `degree` steps is the XOR of
   /// leap[b][byte b of state] over the (up to 4) state bytes.
   using LeapTables = backend::LinearMapTables;
-  /// Columns of the one-step transition matrix (jump's starting point).
+  /// Columns of the one-step transition matrix (power_tables' starting
+  /// point).
   using StepMatrix = std::array<std::uint32_t, 32>;
 
   const LeapTables& leap_tables();

@@ -40,8 +40,8 @@ constexpr std::size_t kMaxPendingPerConn = 32;
 /// the sessions (serialized by `busy`) and read `closed`.
 struct Server::Conn {
   Conn(int fd_in, std::span<const std::uint8_t> master,
-       std::span<const std::uint8_t> salt, int n_pairs, int shards,
-       std::size_t max_frame, compress::Method compression)
+       std::span<const std::uint8_t> salt, int n_pairs, std::size_t max_frame,
+       compress::Method compression)
       : fd(fd_in),
         parser(max_frame),
         // Outbound seals responses (s2c), inbound opens client containers
@@ -52,9 +52,9 @@ struct Server::Conn {
         // connection would share one keystream (a two-time pad), and a
         // container could be replayed from one connection onto another.
         outbound(crypto::Session::from_master(master, s2c_context(salt), n_pairs,
-                                              core::BlockParams::hardware(), shards)),
+                                              core::BlockParams::hardware())),
         inbound(crypto::Session::from_master(master, c2s_context(salt), n_pairs,
-                                             core::BlockParams::hardware(), shards)),
+                                             core::BlockParams::hardware())),
         last_activity(Clock::now()),
         write_since(last_activity) {
     // Only the outbound direction compresses what we send; inbound opens are
@@ -234,8 +234,7 @@ void Server::handle_accept() {
       continue;
     }
     auto conn = std::make_shared<Conn>(fd, cfg_.master, salt, cfg_.n_pairs,
-                                       cfg_.shards, cfg_.max_frame_bytes,
-                                       cfg_.compression);
+                                       cfg_.max_frame_bytes, cfg_.compression);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;

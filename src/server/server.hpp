@@ -51,8 +51,6 @@ struct ServerConfig {
   /// Session master secret shared with clients out of band. Must be
   /// non-empty (crypto::Session requires it).
   std::vector<std::uint8_t> master;
-  /// Intra-message shard knob forwarded to the Sessions (1 = sequential).
-  int shards = 1;
   /// Hiding-key pair count forwarded to Session::from_master.
   int n_pairs = 8;
   /// Crypto requests allowed in flight across all connections before the

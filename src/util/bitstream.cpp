@@ -72,16 +72,6 @@ void BitWriter::write_bits(std::uint64_t v, int n) {
   }
 }
 
-void BitWriter::append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits) {
-  assert(n_bits <= bytes.size() * 8);
-  BitReader reader(bytes);
-  while (n_bits > 0) {
-    const int k = static_cast<int>(std::min<std::size_t>(64, n_bits));
-    write_bits(reader.read_bits(k), k);
-    n_bits -= static_cast<std::size_t>(k);
-  }
-}
-
 void BitWriter::align_to_byte() {
   while (bits_ % 8 != 0) write_bit(false);
 }
@@ -106,16 +96,6 @@ void SpanBitWriter::write_bits(std::uint64_t v, int n) {
       acc_ >>= 8;
       fill_ -= 8;
     }
-  }
-}
-
-void SpanBitWriter::append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits) {
-  assert(n_bits <= bytes.size() * 8);
-  BitReader reader(bytes);
-  while (n_bits > 0) {
-    const int k = static_cast<int>(std::min<std::size_t>(64, n_bits));
-    write_bits(reader.read_bits(k), k);
-    n_bits -= static_cast<std::size_t>(k);
   }
 }
 

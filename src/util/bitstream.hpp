@@ -56,8 +56,8 @@ class BitReader {
   /// Reset the cursor to the beginning.
   void rewind() noexcept { pos_ = 0; }
 
-  /// Move the cursor to an absolute bit offset — how a shard worker starts
-  /// reading mid-message. Throws std::out_of_range past the buffer end.
+  /// Move the cursor to an absolute bit offset. Throws std::out_of_range
+  /// past the buffer end.
   void seek(std::size_t bit_pos) {
     if (bit_pos > size_bits()) {
       throw std::out_of_range("BitReader::seek: position past end of buffer");
@@ -77,10 +77,6 @@ class BitWriter {
   void write_bit(bool b);
   /// Append the low `n` (<=64) bits of `v`, bit 0 first.
   void write_bits(std::uint64_t v, int n);
-  /// Append the first `n_bits` bits of `bytes` (LSB-first) — the splice
-  /// primitive the sharded decrypt paths use to concatenate per-shard bit
-  /// buffers at arbitrary bit offsets.
-  void append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits);
   /// Number of bits written so far.
   [[nodiscard]] std::size_t size_bits() const noexcept { return bits_; }
   /// Pad with zero bits to the next byte boundary.
@@ -116,10 +112,6 @@ class SpanBitWriter {
 
   /// Append the low `n` (<=64) bits of `v`, bit 0 first.
   void write_bits(std::uint64_t v, int n);
-  /// Append the first `n_bits` bits of `bytes` (LSB-first) — the splice
-  /// primitive the sharded `_into` decrypt paths use for per-shard buffers
-  /// whose bit offsets are not byte-aligned.
-  void append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits);
   /// Number of bits written so far.
   [[nodiscard]] std::size_t size_bits() const noexcept { return bits_; }
   /// Write the trailing partial byte (zero-padded), if any. Must be called

@@ -1,5 +1,6 @@
-// Small statistics toolkit used by the randomness battery (src/attack),
-// the timing-channel analysis, and the benchmark reports.
+// Small statistics toolkit: chi-square, normal-tail and correlation tests
+// (tests/util_stats_test.cpp), the Figure 9 bar chart, and the running
+// mean/variance behind the benchmark reports.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,9 @@
 // Backend seam tests: dispatch rules (cpuid gating, MHHEA_BACKEND override,
 // graceful fallback), and differential parity between the forced scalar and
 // SIMD engines — raw Lfsr block generation, the Geffe keystream (bulk,
-// fused-XOR, serial interleaving), every registry cipher across sizes and
-// shard counts with cross-backend encrypt/decrypt, and the byte-aligned
-// continuous sharded decrypt on an explicit pool. SIMD-side cases skip
-// cleanly when the host (or build) has no AVX2 engine, so the suite is
-// green on any runner.
+// fused-XOR, serial interleaving), and every registry cipher across sizes
+// with cross-backend encrypt/decrypt. SIMD-side cases skip cleanly when the
+// host (or build) has no AVX2 engine, so the suite is green on any runner.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,12 +16,10 @@
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
-#include "src/core/shard.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/lfsr/lfsr.hpp"
 #include "src/util/rng.hpp"
-#include "src/exec/executor.hpp"
 
 namespace mhhea {
 namespace {
@@ -194,18 +190,17 @@ TEST(BackendParity, RegistryCiphersBitIdenticalAcrossEnginesAndShards) {
         ScopedBackend forced("scalar");
         ct_scalar = reg.make(name, 0xD00D)->encrypt(msg);
       }
-      for (const int shards : {1, 2, 4, 8}) {
-        std::vector<std::uint8_t> ct_vec;
-        {
-          ScopedBackend forced("avx2");
-          ct_vec = reg.make(name, 0xD00D, shards)->encrypt(msg);
-        }
-        EXPECT_EQ(ct_vec, ct_scalar) << name << " len=" << len << " shards=" << shards;
-        // Cross-engine round trips: bytes sealed by one engine open under
-        // the other, both shard counts.
+      std::vector<std::uint8_t> ct_vec;
+      {
+        ScopedBackend forced("avx2");
+        ct_vec = reg.make(name, 0xD00D)->encrypt(msg);
+      }
+      EXPECT_EQ(ct_vec, ct_scalar) << name << " len=" << len;
+      // Cross-engine round trips: bytes sealed by one engine open under the
+      // other, in both directions.
+      {
         ScopedBackend forced("scalar");
-        EXPECT_EQ(reg.make(name, 0xD00D, shards)->decrypt(ct_vec, len), msg)
-            << name << " len=" << len << " shards=" << shards;
+        EXPECT_EQ(reg.make(name, 0xD00D)->decrypt(ct_vec, len), msg) << name << " len=" << len;
       }
       {
         ScopedBackend forced("avx2");
@@ -214,51 +209,6 @@ TEST(BackendParity, RegistryCiphersBitIdenticalAcrossEnginesAndShards) {
       }
     }
   }
-}
-
-// ------------------------------------- byte-aligned continuous decrypt
-
-TEST(ShardedDecrypt, ContinuousIntoMatchesSequentialOnExplicitPool) {
-  // Drives the capacity pre-scan + direct slice writes with real workers
-  // regardless of host core count (the adapters would clamp to the
-  // sequential path on a 1-core box). The ragged size sweep lands shard
-  // boundaries at many different block-alignment walks.
-  util::Xoshiro256 rng(0xA11);
-  exec::Executor pool(4);
-  for (const core::BlockParams params :
-       {core::BlockParams::paper(), core::BlockParams{32, core::FramePolicy::continuous}}) {
-    const core::Key key = core::Key::random(rng, 8, params);
-    for (std::size_t len = 0; len <= 2000; len += 129) {
-      const auto msg = random_message(rng, len);
-      const auto ct = core::encrypt(msg, key, 0xACE1, params);
-      for (const int shards : {2, 3, 4, 8}) {
-        std::vector<std::uint8_t> out(msg.size());
-        core::decrypt_sharded_into(ct, key, msg.size(), shards, &pool, out, params);
-        EXPECT_EQ(out, msg) << "len=" << len << " shards=" << shards;
-      }
-    }
-  }
-}
-
-TEST(ShardedDecrypt, ContinuousStrictContractSurvivesThePreScan) {
-  util::Xoshiro256 rng(0xB22);
-  exec::Executor pool(4);
-  const core::BlockParams params = core::BlockParams::paper();
-  const core::Key key = core::Key::random(rng, 8, params);
-  const auto msg = random_message(rng, 600);
-  const auto ct = core::encrypt(msg, key, 0xACE1, params);
-  const std::size_t bb = static_cast<std::size_t>(params.block_bytes());
-  // Truncated: drop the final block.
-  std::vector<std::uint8_t> short_ct(ct.begin(), ct.end() - static_cast<long>(bb));
-  EXPECT_THROW(
-      (void)core::decrypt_sharded(short_ct, key, msg.size(), 4, &pool, params),
-      std::invalid_argument);
-  // Trailing: append one extra block.
-  std::vector<std::uint8_t> long_ct = ct;
-  long_ct.insert(long_ct.end(), bb, std::uint8_t{0x5A});
-  EXPECT_THROW(
-      (void)core::decrypt_sharded(long_ct, key, msg.size(), 4, &pool, params),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ if(NOT DEFINED BENCH_BIN OR NOT DEFINED OUT_JSON)
 endif()
 
 execute_process(
-  COMMAND "${BENCH_BIN}" --reps 1 --threads 1 --shards 1 --seed 0xB0A710AD
+  COMMAND "${BENCH_BIN}" --reps 1 --threads 1 --seed 0xB0A710AD
           --out "${OUT_JSON}"
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
@@ -29,7 +29,7 @@ string(JSON host_avx2 GET "${doc}" host cpu_avx2)
 if(NOT host_backend MATCHES "^(scalar|avx2)$")
   message(FATAL_ERROR "bench_smoke: host.backend is \"${host_backend}\", expected scalar or avx2")
 endif()
-# 6 ciphers x 3 sizes x 4 dir/api cells at threads=1 shards=1 on the random
+# 6 ciphers x 3 sizes x 4 dir/api cells at threads=1 on the random
 # corpus, plus the text-corpus sequential encrypt/decrypt columns.
 if(n_results LESS 72)
   message(FATAL_ERROR "bench_smoke: expected >= 72 result cells, got ${n_results}")
@@ -71,16 +71,17 @@ foreach(want random text)
   endif()
 endforeach()
 
-# Speedup objects must never be silently empty: this run sweeps a single
-# thread/shard column, so both are clamped — every registry cipher reports
-# the exact single-column ratio 1.0 and the clamp is marked explicitly.
+# The speedup object must never be silently empty: this run sweeps a single
+# thread column, so it is clamped — every registry cipher reports the exact
+# single-column ratio 1.0 and the clamp is marked explicitly.
 string(JSON batch_clamped GET "${doc}" batch_speedup_clamped)
-string(JSON shard_clamped GET "${doc}" shard_speedup_clamped)
 if(NOT batch_clamped STREQUAL "ON" AND NOT batch_clamped STREQUAL "true")
   message(FATAL_ERROR "bench_smoke: batch_speedup_clamped is \"${batch_clamped}\", expected true for a --threads 1 run")
 endif()
-if(NOT shard_clamped STREQUAL "ON" AND NOT shard_clamped STREQUAL "true")
-  message(FATAL_ERROR "bench_smoke: shard_speedup_clamped is \"${shard_clamped}\", expected true for a --shards 1 run")
+# The rep count behind every figure is recorded at the top level.
+string(JSON reps GET "${doc}" reps)
+if(NOT reps EQUAL 1)
+  message(FATAL_ERROR "bench_smoke: top-level reps is ${reps}, expected 1 for a --reps 1 run")
 endif()
 foreach(want MHHEA MHHEA-sealed MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
   string(JSON batch_ratio ERROR_VARIABLE jerr GET "${doc}" batch_speedup "${want}")
@@ -89,10 +90,6 @@ foreach(want MHHEA MHHEA-sealed MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
   endif()
   if(NOT batch_ratio EQUAL 1)
     message(FATAL_ERROR "bench_smoke: clamped batch_speedup for ${want} is ${batch_ratio}, expected 1.0")
-  endif()
-  string(JSON shard_ratio ERROR_VARIABLE jerr2 GET "${doc}" shard_speedup "${want}")
-  if(jerr2)
-    message(FATAL_ERROR "bench_smoke: shard_speedup missing cipher ${want} on a clamped sweep")
   endif()
 endforeach()
 

@@ -51,8 +51,8 @@ TEST(CipherRegistry, UnknownNameThrows) {
 
 TEST(CipherRegistry, RegistrationValidates) {
   CipherRegistry reg;
-  const auto factory = [](std::uint64_t seed, int shards) {
-    return std::unique_ptr<Cipher>(CipherRegistry::builtin().make("MHHEA", seed, shards));
+  const auto factory = [](std::uint64_t seed) {
+    return std::unique_ptr<Cipher>(CipherRegistry::builtin().make("MHHEA", seed));
   };
   EXPECT_THROW(reg.register_cipher("", factory), std::invalid_argument);
   EXPECT_THROW(reg.register_cipher("x", nullptr), std::invalid_argument);

@@ -1,6 +1,6 @@
 // Compression pre-stage: engine round trips (randomized sizes, both
 // corpora, every method), stream corruption rejection, the envelope path
-// through the sealed-v2 cipher (methods x shard counts, fallback pinning,
+// through the sealed-v2 cipher (every method, fallback pinning,
 // post-MAC method checks), and the negotiated Session pipeline.
 #include <gtest/gtest.h>
 
@@ -209,40 +209,29 @@ TEST(CompressEngines, HuffmanSkewedFrequenciesStayWithinDepthLimit) {
 
 // --- the envelope through the sealed-v2 cipher -----------------------------
 
-crypto::MhheaCipher make_v2_cipher(int shards = 1) {
+crypto::MhheaCipher make_v2_cipher() {
   util::Xoshiro256 rng(0x11d7);
   const auto params = core::BlockParams::hardware();
   core::Key key = core::Key::random(rng, 8, params);
   return crypto::MhheaCipher(std::move(key), 0xACE1, params,
-                             crypto::MhheaCipher::Framing::sealed_v2, shards);
+                             crypto::MhheaCipher::Framing::sealed_v2);
 }
 
 TEST(CompressedSealedV2, EveryMethodRoundTripsAcrossShardCounts) {
   for (Method m : kAllMethods) {
-    for (int shards : {1, 2, 4, 8}) {
-      auto cipher = make_v2_cipher(shards);
-      cipher.set_compression(m);
-      util::Xoshiro256 size_rng(0xA11CE + static_cast<std::uint64_t>(shards));
+    auto cipher = make_v2_cipher();
+    cipher.set_compression(m);
+    // Four size streams of six sizes each, up to 20000 bytes.
+    for (const std::uint64_t size_seed : {1, 2, 4, 8}) {
+      util::Xoshiro256 size_rng(0xA11CE + size_seed);
       for (int iter = 0; iter < 6; ++iter) {
         const std::size_t n = static_cast<std::size_t>(size_rng.below(20001));
         const auto msg = text_bytes(n, 0xF00D + iter);
         const auto sealed = cipher.encrypt(msg);
         EXPECT_EQ(cipher.decrypt(sealed, msg.size()), msg)
-            << method_name(m) << " shards=" << shards << " n=" << n;
+            << method_name(m) << " n=" << n;
       }
     }
-  }
-}
-
-TEST(CompressedSealedV2, ShardCountDoesNotChangeTheFrame) {
-  const auto msg = text_bytes(20000, 0xD15C);
-  auto base = make_v2_cipher(1);
-  base.set_compression(Method::lzss);
-  const auto expect = base.encrypt(msg);
-  for (int shards : {2, 4, 8}) {
-    auto cipher = make_v2_cipher(shards);
-    cipher.set_compression(Method::lzss);
-    EXPECT_EQ(cipher.encrypt(msg), expect) << "shards=" << shards;
   }
 }
 
@@ -277,8 +266,8 @@ TEST(CompressedSealedV2, IncompressibleMessagesFallBackByteIdentically) {
   }
   // ...and through the registry twins (same seed -> same key schedule).
   const auto& reg = crypto::CipherRegistry::builtin();
-  auto reg_plain = reg.make("MHHEA-sealed-v2", 0xFEED123, 1);
-  auto reg_z = reg.make("MHHEA-sealed-v2-z", 0xFEED123, 1);
+  auto reg_plain = reg.make("MHHEA-sealed-v2", 0xFEED123);
+  auto reg_z = reg.make("MHHEA-sealed-v2-z", 0xFEED123);
   const auto msg = random_bytes(4096, 0x90210);
   EXPECT_EQ(reg_z->encrypt(msg), reg_plain->encrypt(msg));
 }

@@ -120,8 +120,6 @@ TEST(ErrorConvention, RegistryConstructionErrors) {
   const auto& reg = crypto::CipherRegistry::builtin();
   expect_invalid_argument([&] { (void)reg.make("no-such-cipher", 1); },
                           "registry: unknown name");
-  expect_invalid_argument([&] { (void)reg.make("MHHEA", 1, /*shards=*/-2); },
-                          "registry: negative shards");
 }
 
 // ---------------------------------------------------------------------------

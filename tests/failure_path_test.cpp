@@ -15,14 +15,12 @@
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
-#include "src/core/shard.hpp"
 #include "src/crypto/hhea.hpp"
 #include "src/crypto/hhea_cipher.hpp"
 #include "src/crypto/mhhea_cipher.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea {
 namespace {
@@ -223,11 +221,6 @@ TEST(KeyParamsMismatch, BadVectorSizeRejected) {
 
 // ------------------------------------------------------------- primitives
 
-TEST(ThreadPoolFailure, RejectsNonPositiveSize) {
-  EXPECT_THROW(util::ThreadPool(0), std::invalid_argument);
-  EXPECT_THROW(util::ThreadPool(-1), std::invalid_argument);
-}
-
 TEST(EncryptorFailure, FeedBitsBeyondReaderThrows) {
   const core::Key key = core::Key::parse("0-3");
   core::Encryptor enc(key, core::make_lfsr_cover(16, 1));
@@ -250,21 +243,21 @@ TEST(GeffeBulk, EmptySpanIsANoOp) {
 }
 
 TEST(GeffeBulk, JumpThenBulkConsistentAcrossPeriodBoundaries) {
-  // Jump distances straddling the degree-17 register's full period
+  // Positions straddling the degree-17 register's full period
   // (2^17 - 1 = 131071 steps): register A wraps to its seed while B and C
-  // land mid-period. The bulk pull after the jump must equal the serial
-  // stream that walked there bit by bit.
+  // sit mid-period. A bulk pull from there must equal the serial bytes of a
+  // second stream walked to the same position.
   const std::uint64_t period_a = (std::uint64_t{1} << 17) - 1;
   for (const std::uint64_t n : {period_a - 3, period_a, period_a + 7}) {
-    crypto::GeffeKeystream jumped(0x1ACE, 0x2BEEF, 0x3CAFE);
-    jumped.jump(n);
+    crypto::GeffeKeystream positioned(0x1ACE, 0x2BEEF, 0x3CAFE);
+    for (std::uint64_t i = 0; i < n; ++i) (void)positioned.next_bit();
     std::array<std::uint8_t, 32> bulk{};
-    jumped.next_bytes(bulk);
+    positioned.next_bytes(bulk);
 
     crypto::GeffeKeystream walked(0x1ACE, 0x2BEEF, 0x3CAFE);
     for (std::uint64_t i = 0; i < n; ++i) (void)walked.next_bit();
     for (std::size_t i = 0; i < bulk.size(); ++i) {
-      ASSERT_EQ(bulk[i], walked.next_byte()) << "jump " << n << " byte " << i;
+      ASSERT_EQ(bulk[i], walked.next_byte()) << "position " << n << " byte " << i;
     }
   }
 }
@@ -273,8 +266,7 @@ TEST(GeffeBulk, JumpThenBulkConsistentAcrossPeriodBoundaries) {
 
 TEST(FramedBatchStrictness, TruncatedFinalFrameThrowsEverywhere) {
   // Dropping the final frame's last block must fail exactly like the
-  // one-block-at-a-time path did: core decrypt, every shard count, and the
-  // sealed adapter.
+  // one-block-at-a-time path did: core decrypt and the sealed adapter.
   const core::BlockParams params = core::BlockParams::hardware();
   util::Xoshiro256 rng(47);
   const core::Key key = core::Key::random(rng, 4, params);
@@ -282,13 +274,6 @@ TEST(FramedBatchStrictness, TruncatedFinalFrameThrowsEverywhere) {
   auto ct = core::encrypt(msg, key, 0xACE1, params);
   ct.resize(ct.size() - static_cast<std::size_t>(params.block_bytes()));
   EXPECT_THROW((void)core::decrypt(ct, key, msg.size(), params), std::invalid_argument);
-  const core::LfsrCover proto(params.vector_bits, 0xACE1);
-  for (const int shards : {2, 4, 8}) {
-    EXPECT_THROW(
-        (void)core::decrypt_sharded(ct, key, msg.size(), shards, nullptr, params),
-        std::invalid_argument)
-        << "shards " << shards;
-  }
   crypto::MhheaCipher sealed(key, 0xACE1, params, crypto::MhheaCipher::Framing::sealed);
   auto framed = sealed.encrypt(msg);
   framed.resize(framed.size() - static_cast<std::size_t>(params.block_bytes()));
@@ -303,12 +288,6 @@ TEST(FramedBatchStrictness, TrailingCiphertextThrowsEverywhere) {
   auto ct = core::encrypt(msg, key, 0xACE1, params);
   ct.insert(ct.end(), {0xAA, 0x55});  // one whole extra block
   EXPECT_THROW((void)core::decrypt(ct, key, msg.size(), params), std::invalid_argument);
-  for (const int shards : {2, 4, 8}) {
-    EXPECT_THROW(
-        (void)core::decrypt_sharded(ct, key, msg.size(), shards, nullptr, params),
-        std::invalid_argument)
-        << "shards " << shards;
-  }
   // The streaming core: the batched frame walk must still reject bytes fed
   // after the message completed.
   core::Decryptor dec(key, static_cast<std::uint64_t>(msg.size()) * 8, params);

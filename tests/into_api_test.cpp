@@ -20,7 +20,6 @@
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
-#include "src/core/shard.hpp"
 #include "src/crypto/batch.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/crypto/hhea.hpp"
@@ -28,7 +27,6 @@
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/rng.hpp"
-#include "src/exec/executor.hpp"
 
 // ----------------------------------------------------------------------
 // Counting global allocator: replaces the program-wide operator new/delete
@@ -76,7 +74,7 @@ std::vector<std::uint8_t> random_message(util::Xoshiro256& rng, std::size_t n) {
 }
 
 /// The acceptance sweep sizes: boundary lengths (empty, sub-frame, frame,
-/// shard cutoffs) up to 20000 bytes.
+/// 1 KiB neighbours) up to 20000 bytes.
 const std::vector<std::size_t>& sweep_lengths() {
   static const std::vector<std::size_t> lens = {
       0, 1, 2, 3, 15, 16, 17, 255, 256, 1000, 1023, 1024, 1025,
@@ -87,40 +85,37 @@ const std::vector<std::size_t>& sweep_lengths() {
 class IntoApiTest : public ::testing::TestWithParam<std::string> {};
 
 // encrypt_into / decrypt_into / ciphertext_size / max_ciphertext_size agree
-// with the allocating APIs for every registry cipher x shard count x size.
+// with the allocating APIs for every registry cipher x size, on a second
+// instance so a reused core is checked against a fresh one.
 TEST_P(IntoApiTest, IntoMatchesAllocatingAcrossShardsAndSizes) {
   util::Xoshiro256 rng(0x1A70);
-  const auto reference = CipherRegistry::builtin().make(GetParam(), 0xACE1, 1);
+  const auto reference = CipherRegistry::builtin().make(GetParam(), 0xACE1);
+  const auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1);
   for (const std::size_t len : sweep_lengths()) {
     const auto msg = random_message(rng, len);
     const auto ct = reference->encrypt(msg);
     ASSERT_EQ(reference->ciphertext_size(len), ct.size()) << GetParam() << " len=" << len;
     ASSERT_GE(reference->max_ciphertext_size(len), ct.size())
         << GetParam() << " len=" << len;
-    for (const int shards : {1, 2, 4, 8}) {
-      const auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1, shards);
-      // Oversized buffer: encrypt_into must report the exact byte count.
-      std::vector<std::uint8_t> buf(cipher->max_ciphertext_size(len) + 7, 0xEE);
-      const std::size_t n = cipher->encrypt_into(msg, buf);
-      ASSERT_EQ(n, ct.size()) << GetParam() << " len=" << len << " shards=" << shards;
-      ASSERT_TRUE(std::equal(ct.begin(), ct.end(), buf.begin()))
-          << GetParam() << " len=" << len << " shards=" << shards;
-      // Exact-size buffer round-trips too.
-      std::vector<std::uint8_t> exact(ct.size());
-      ASSERT_EQ(cipher->encrypt_into(msg, exact), ct.size());
-      ASSERT_EQ(exact, ct);
-      std::vector<std::uint8_t> back(len + 3, 0xEE);
-      ASSERT_EQ(cipher->decrypt_into(ct, len, back), len)
-          << GetParam() << " len=" << len << " shards=" << shards;
-      ASSERT_TRUE(std::equal(msg.begin(), msg.end(), back.begin()))
-          << GetParam() << " len=" << len << " shards=" << shards;
-    }
+    // Oversized buffer: encrypt_into must report the exact byte count.
+    std::vector<std::uint8_t> buf(cipher->max_ciphertext_size(len) + 7, 0xEE);
+    const std::size_t n = cipher->encrypt_into(msg, buf);
+    ASSERT_EQ(n, ct.size()) << GetParam() << " len=" << len;
+    ASSERT_TRUE(std::equal(ct.begin(), ct.end(), buf.begin())) << GetParam() << " len=" << len;
+    // Exact-size buffer round-trips too.
+    std::vector<std::uint8_t> exact(ct.size());
+    ASSERT_EQ(cipher->encrypt_into(msg, exact), ct.size());
+    ASSERT_EQ(exact, ct);
+    std::vector<std::uint8_t> back(len + 3, 0xEE);
+    ASSERT_EQ(cipher->decrypt_into(ct, len, back), len) << GetParam() << " len=" << len;
+    ASSERT_TRUE(std::equal(msg.begin(), msg.end(), back.begin()))
+        << GetParam() << " len=" << len;
   }
 }
 
 TEST_P(IntoApiTest, OutputBufferTooSmallThrows) {
   util::Xoshiro256 rng(0x0B5E);
-  auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1, 1);
+  auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1);
   const auto msg = random_message(rng, 257);
   const auto ct = cipher->encrypt(msg);
   // One byte short, and the empty span, both fail loudly on encrypt...
@@ -140,25 +135,21 @@ TEST_P(IntoApiTest, OutputBufferTooSmallThrows) {
 }
 
 // The strict ciphertext contracts survive the `_into` route: truncation and
-// trailing blocks throw std::invalid_argument at every shard count.
+// trailing blocks throw std::invalid_argument.
 TEST_P(IntoApiTest, StrictContractsThroughInto) {
   util::Xoshiro256 rng(0x57C7);
   const auto msg = random_message(rng, 4096);
-  for (const int shards : {1, 2, 8}) {
-    auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1, shards);
-    const auto ct = cipher->encrypt(msg);
-    std::vector<std::uint8_t> out(msg.size());
-    const std::size_t unit = GetParam() == "YAEA-S" ? 1 : 2;
-    std::vector<std::uint8_t> shorter(ct.begin(), ct.end() - static_cast<long>(unit));
-    EXPECT_THROW((void)cipher->decrypt_into(shorter, msg.size(), out),
-                 std::invalid_argument)
-        << GetParam() << " shards=" << shards;
-    std::vector<std::uint8_t> longer = ct;
-    for (std::size_t i = 0; i < unit; ++i) longer.push_back(0);
-    EXPECT_THROW((void)cipher->decrypt_into(longer, msg.size(), out),
-                 std::invalid_argument)
-        << GetParam() << " shards=" << shards;
-  }
+  auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1);
+  const auto ct = cipher->encrypt(msg);
+  std::vector<std::uint8_t> out(msg.size());
+  const std::size_t unit = GetParam() == "YAEA-S" ? 1 : 2;
+  std::vector<std::uint8_t> shorter(ct.begin(), ct.end() - static_cast<long>(unit));
+  EXPECT_THROW((void)cipher->decrypt_into(shorter, msg.size(), out), std::invalid_argument)
+      << GetParam();
+  std::vector<std::uint8_t> longer = ct;
+  for (std::size_t i = 0; i < unit; ++i) longer.push_back(0);
+  EXPECT_THROW((void)cipher->decrypt_into(longer, msg.size(), out), std::invalid_argument)
+      << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCiphers, IntoApiTest,
@@ -175,7 +166,7 @@ INSTANTIATE_TEST_SUITE_P(AllCiphers, IntoApiTest,
 // itself, decrypt it over itself, recover the original message.
 TEST(YaeaAliasing, InPlaceRoundTrip) {
   util::Xoshiro256 rng(0xA11A);
-  auto cipher = CipherRegistry::builtin().make("YAEA-S", 0xACE1, 1);
+  auto cipher = CipherRegistry::builtin().make("YAEA-S", 0xACE1);
   for (const std::size_t len : {std::size_t{1}, std::size_t{7}, std::size_t{513},
                                 std::size_t{4096}, std::size_t{20000}}) {
     const auto msg = random_message(rng, len);
@@ -193,7 +184,7 @@ TEST(YaeaAliasing, InPlaceRoundTrip) {
 TEST(BatchArena, MatchesAllocatingBatch) {
   util::Xoshiro256 rng(0xBA7C);
   for (const auto& name : CipherRegistry::builtin().names()) {
-    const auto maker = [&] { return CipherRegistry::builtin().make(name, 0xACE1, 1); };
+    const auto maker = [&] { return CipherRegistry::builtin().make(name, 0xACE1); };
     std::vector<std::vector<std::uint8_t>> msgs;
     std::vector<std::size_t> msg_bytes;
     for (const std::size_t len : {std::size_t{0}, std::size_t{13}, std::size_t{256},
@@ -228,7 +219,7 @@ TEST(BatchArena, MatchesAllocatingBatch) {
 }
 
 TEST(BatchArena, LayoutValidation) {
-  const auto maker = [] { return CipherRegistry::builtin().make("YAEA-S", 0xACE1, 1); };
+  const auto maker = [] { return CipherRegistry::builtin().make("YAEA-S", 0xACE1); };
   const std::vector<std::vector<std::uint8_t>> msgs = {{1, 2, 3}, {4, 5}};
   std::vector<std::size_t> offsets(1);  // wrong length
   auto sizer = maker();
@@ -245,102 +236,17 @@ TEST(BatchArena, LayoutValidation) {
                std::length_error);
 }
 
-// Core-level sharded `_into` equivalence with an explicit pool, so the
-// parallel planners/workers run regardless of host core count (the adapters
-// clamp their shard count to hardware concurrency).
-class ShardedIntoPolicy : public ::testing::TestWithParam<core::BlockParams> {};
-
-TEST_P(ShardedIntoPolicy, CoreShardedIntoMatchesSequential) {
-  const core::BlockParams params = GetParam();
-  util::Xoshiro256 rng(0x5A4E);
-  const core::Key key = core::Key::random(rng, 8, params);
-  const core::LfsrCover cover(params.vector_bits, 0xACE1);
-  exec::Executor pool(4);
-  for (const std::size_t len : {std::size_t{0}, std::size_t{3}, std::size_t{257},
-                                std::size_t{5000}, std::size_t{16384}}) {
-    const auto msg = random_message(rng, len);
-    const auto expected = core::encrypt(msg, key, 0xACE1, params);
-    for (const int shards : {2, 4, 8}) {
-      std::vector<std::uint8_t> ct(expected.size() + 4, 0xEE);
-      const std::size_t n =
-          core::encrypt_sharded_into(msg, key, cover, shards, &pool, ct, params);
-      ASSERT_EQ(n, expected.size()) << "len=" << len << " shards=" << shards;
-      ASSERT_TRUE(std::equal(expected.begin(), expected.end(), ct.begin()))
-          << "len=" << len << " shards=" << shards;
-      std::vector<std::uint8_t> back(len, 0xEE);
-      ASSERT_EQ(core::decrypt_sharded_into(expected, key, len, shards, &pool, back, params),
-                len)
-          << "len=" << len << " shards=" << shards;
-      ASSERT_EQ(back, msg) << "len=" << len << " shards=" << shards;
-      // Too-small buffers fail loudly on both directions.
-      if (!expected.empty()) {
-        std::vector<std::uint8_t> small(expected.size() - 1);
-        EXPECT_THROW((void)core::encrypt_sharded_into(msg, key, cover, shards, &pool,
-                                                      small, params),
-                     std::length_error);
-        std::vector<std::uint8_t> short_out(len - 1);
-        EXPECT_THROW((void)core::decrypt_sharded_into(expected, key, len, shards, &pool,
-                                                      short_out, params),
-                     std::length_error);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, ShardedIntoPolicy,
-    ::testing::Values(core::BlockParams::paper(), core::BlockParams::hardware(),
-                      core::BlockParams{32, core::FramePolicy::continuous},
-                      core::BlockParams{64, core::FramePolicy::framed}),
-    [](const auto& info) {
-      return std::string(info.param.policy == core::FramePolicy::framed ? "framed"
-                                                                        : "continuous") +
-             std::to_string(info.param.vector_bits);
-    });
-
-TEST(ShardedInto, HheaShardedIntoMatchesSequential) {
-  util::Xoshiro256 rng(0x5A4F);
-  for (const core::BlockParams params :
-       {core::BlockParams::paper(), core::BlockParams::hardware()}) {
-    const core::Key key = core::Key::random(rng, 8, params);
-    const core::LfsrCover cover(params.vector_bits, 0xACE1);
-    exec::Executor pool(4);
-    for (const std::size_t len :
-         {std::size_t{0}, std::size_t{257}, std::size_t{5000}, std::size_t{16384}}) {
-      const auto msg = random_message(rng, len);
-      const auto expected = crypto::hhea_encrypt(msg, key, 0xACE1, params);
-      ASSERT_EQ(crypto::hhea_cipher_bytes(key, static_cast<std::uint64_t>(len) * 8, params),
-                expected.size())
-          << "len=" << len;
-      for (const int shards : {2, 8}) {
-        std::vector<std::uint8_t> ct(expected.size(), 0xEE);
-        ASSERT_EQ(crypto::hhea_encrypt_sharded_into(msg, key, cover, shards, &pool, ct,
-                                                    params),
-                  expected.size())
-            << "len=" << len << " shards=" << shards;
-        ASSERT_EQ(ct, expected) << "len=" << len << " shards=" << shards;
-        std::vector<std::uint8_t> back(len, 0xEE);
-        ASSERT_EQ(crypto::hhea_decrypt_sharded_into(expected, key, len, shards, &pool,
-                                                    back, params),
-                  len)
-            << "len=" << len << " shards=" << shards;
-        ASSERT_EQ(back, msg) << "len=" << len << " shards=" << shards;
-      }
-    }
-  }
-}
-
 // The headline contract of this surface: once warmed, an encrypt_into loop
-// performs ZERO heap allocations for the plain-MHHEA and YAEA-S single-shard
-// paths (the adapters' resettable cores emit straight into the caller's
-// buffer through resident scratch only).
+// performs ZERO heap allocations for plain MHHEA and YAEA-S (the adapters'
+// resettable cores emit straight into the caller's buffer through resident
+// scratch only).
 TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
   util::Xoshiro256 rng(0x0A11);
   const auto msg = random_message(rng, 16384);
   // MHHEA-sealed-v2 rides the same contract: header write + SipHash trailer
   // stay on the stack, so authentication adds no allocations.
   for (const char* name : {"MHHEA", "YAEA-S", "MHHEA-sealed-v2"}) {
-    auto cipher = CipherRegistry::builtin().make(name, 0xACE1, 1);
+    auto cipher = CipherRegistry::builtin().make(name, 0xACE1);
     std::vector<std::uint8_t> out(cipher->max_ciphertext_size(msg.size()));
     // Warm: first calls may build lazy LFSR leap tables and grow scratch.
     const std::size_t expected = cipher->encrypt_into(msg, out);
@@ -361,7 +267,7 @@ TEST(ZeroAllocation, HheaSizeQueriesUseCachedCycle) {
   util::Xoshiro256 rng(0x51CE);
   for (const auto params : {core::BlockParams::paper(), core::BlockParams::hardware()}) {
     core::Key key = core::Key::random(rng, 8, params);
-    HheaCipher cipher(std::move(key), 0xACE1, params, 1);
+    HheaCipher cipher(std::move(key), 0xACE1, params);
     (void)cipher.ciphertext_size(1024);  // nothing lazy left after one call
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
     std::size_t total = 0;

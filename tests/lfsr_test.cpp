@@ -162,16 +162,25 @@ TEST(Lfsr, NextBlockAdvancesDegreeSteps) {
   EXPECT_NE(block, 0u);
 }
 
+// Lfsr::power_tables(n) is the n-step transition map M^n as per-byte XOR
+// tables, built by square-and-multiply on the probed one-step matrix. The
+// lane seeding of next_blocks and the Geffe kernel's update maps ride on it,
+// so the map must agree with plain stepping for both register forms.
+constexpr int kPowerDegrees[] = {2, 7, 16, 17, 23, 32};
+
+std::uint64_t apply_power(Lfsr& l, std::uint64_t steps, std::uint64_t state) {
+  return l.power_tables(steps).apply(static_cast<std::uint32_t>(state));
+}
+
 TEST(LfsrJump, MatchesAdvanceForBothForms) {
   for (const Lfsr::Form form : {Lfsr::Form::fibonacci, Lfsr::Form::galois}) {
-    for (const int degree : {2, 7, 16, 17, 23, 32}) {
+    for (const int degree : kPowerDegrees) {
       for (const std::uint64_t n : {0ull, 1ull, 2ull, 15ull, 16ull, 100ull, 12345ull}) {
         // 0x5EED is non-zero in the low bits of every degree in the sweep.
-        Lfsr jumped(primitive_polynomial(degree), 0x5EED, form);
-        Lfsr stepped = jumped;
-        jumped.jump(n);
-        stepped.advance(n);
-        EXPECT_EQ(jumped.state(), stepped.state())
+        Lfsr l(primitive_polynomial(degree), 0x5EED, form);
+        const std::uint64_t mapped = apply_power(l, n, l.state());
+        l.advance(n);
+        EXPECT_EQ(mapped, l.state())
             << "degree=" << degree << " n=" << n << " form=" << static_cast<int>(form);
       }
     }
@@ -179,35 +188,40 @@ TEST(LfsrJump, MatchesAdvanceForBothForms) {
 }
 
 TEST(LfsrJump, FullPeriodIsIdentity) {
-  // Jumping by the register period (astronomically expensive to step) must
-  // land back on the start state — the O(log n) distance is the point.
+  // The register-period power (astronomically expensive to step at degree
+  // 32) must map every basis state to itself — the O(log n) construction is
+  // the point.
   for (const Lfsr::Form form : {Lfsr::Form::fibonacci, Lfsr::Form::galois}) {
-    Lfsr l(primitive_polynomial(32), 0xDEADBEEF, form);
-    const std::uint64_t start = l.state();
-    l.jump(l.max_period());
-    EXPECT_EQ(l.state(), start);
-    // One full period plus a few: equivalent to the few alone.
-    Lfsr few = l;
-    few.advance(5);
-    l.jump(l.max_period() + 5);
-    EXPECT_EQ(l.state(), few.state());
+    for (const int degree : kPowerDegrees) {
+      Lfsr l(primitive_polynomial(degree), 0x5EED, form);
+      const backend::LinearMapTables period = l.power_tables(l.max_period());
+      const backend::LinearMapTables few = l.power_tables(5);
+      const backend::LinearMapTables period_plus_few = l.power_tables(l.max_period() + 5);
+      for (int b = 0; b < degree; ++b) {
+        const std::uint32_t basis = std::uint32_t{1} << b;
+        EXPECT_EQ(period.apply(basis), basis) << "degree=" << degree << " bit=" << b;
+        // One full period plus a few: equivalent to the few alone.
+        EXPECT_EQ(period_plus_few.apply(basis), few.apply(basis))
+            << "degree=" << degree << " bit=" << b;
+      }
+    }
   }
 }
 
 TEST(LfsrJump, ComposesWithNextBlock) {
-  // Jump-ahead by k blocks == discarding k next_block() calls: the contract
-  // LfsrCover::skip_blocks builds on.
+  // Mapping by k * degree steps == discarding k next_block() calls: the
+  // contract the lane-stride seeding in next_blocks builds on.
   Lfsr jumped = make_hiding_vector_lfsr(0xACE1);
   Lfsr stepped = make_hiding_vector_lfsr(0xACE1);
   for (int i = 0; i < 37; ++i) (void)stepped.next_block();
-  jumped.jump(37 * 16);
+  jumped.set_state(apply_power(jumped, 37 * 16, jumped.state()));
   EXPECT_EQ(jumped.state(), stepped.state());
   EXPECT_EQ(jumped.next_block(), stepped.next_block());
 }
 
 TEST(Lfsr, BlocksLookBalanced) {
   // Sanity check of the hiding-vector source: over many blocks, ones and
-  // zeros should be near 50/50 (full statistical battery in attack tests).
+  // zeros should be near 50/50.
   Lfsr l = make_hiding_vector_lfsr(0xBEEF);
   int ones = 0;
   const int kBlocks = 4096;

@@ -4,9 +4,9 @@
 // scramble/embed block walk (continuous and framed), the seal container and
 // HHEA — written independently from first principles (the DESIGN/paper
 // conventions), NOT by calling into src/. The production word-wide paths
-// (leap-table step_bits, bulk Geffe, frame-batched cores, sharded planners)
-// must reproduce the naive streams bit for bit over randomized seeds, keys,
-// message sizes 0..20000 and shard counts {1, 2, 4, 8}.
+// (leap-table step_bits, bulk Geffe, frame-batched cores) must reproduce the
+// naive streams bit for bit over randomized seeds, keys and message sizes
+// 0..20000.
 //
 // If one of these sweeps fails, the *production* fast path drifted: the
 // reference models are the executable spec. Keep them naive — their value is
@@ -22,7 +22,6 @@
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
-#include "src/core/shard.hpp"
 #include "src/crypto/hhea.hpp"
 #include "src/crypto/hhea_cipher.hpp"
 #include "src/crypto/mhhea_cipher.hpp"
@@ -30,7 +29,6 @@
 #include "src/crypto/yaea.hpp"
 #include "src/lfsr/lfsr.hpp"
 #include "src/lfsr/polynomials.hpp"
-#include "src/exec/executor.hpp"
 
 namespace mhhea {
 namespace {
@@ -347,10 +345,8 @@ std::vector<std::uint8_t> seal(std::span<const std::uint8_t> msg, const KeyPairs
 // ---------------------------------------------------------------------
 // Shared sweep scaffolding.
 
-constexpr int kShardCounts[] = {1, 2, 4, 8};
-
 /// Message sizes 0..20000 (bytes): every boundary shape — empty, sub-frame,
-/// exact/crossing frame multiples, shard-threshold neighbours, big.
+/// exact/crossing frame multiples, 1 KiB neighbours, big.
 const std::vector<std::size_t> kSizes = {0,  1,  2,   3,   5,    8,    15,   16,   17,
                                          31, 64, 127, 333, 1024, 4099, 20000};
 
@@ -468,17 +464,16 @@ TEST(ReferenceGeffe, YaeaMatchesNaiveXorAtEveryShardCount) {
     ref::Geffe naive(sa, sb, sc);
     std::vector<std::uint8_t> want = naive.bytes(size);
     for (std::size_t i = 0; i < size; ++i) want[i] ^= msg[i];
-    for (const int shards : kShardCounts) {
-      crypto::Yaea yaea({sa, sb, sc}, shards);
-      const auto ct = yaea.encrypt(msg);
-      EXPECT_EQ(ct, want) << "size " << size << " shards " << shards;
-      EXPECT_EQ(yaea.decrypt(ct, size), msg) << "size " << size << " shards " << shards;
-    }
+    crypto::Yaea yaea({sa, sb, sc});
+    const auto ct = yaea.encrypt(msg);
+    EXPECT_EQ(ct, want) << "size " << size;
+    EXPECT_EQ(yaea.decrypt(ct, size), msg) << "size " << size;
   }
 }
 
 // ---------------------------------------------------------------------
-// MHHEA block walks vs the naive reference, both policies, core and sharded.
+// MHHEA block walks vs the naive reference, both policies, one-shot core and
+// the span-based cores.
 
 class ReferenceMhhea : public ::testing::TestWithParam<core::BlockParams> {};
 
@@ -489,19 +484,21 @@ TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
   const auto [raw, key] = random_key(rng, params);
   const std::uint64_t seed = nonzero_seed(rng, std::min(params.vector_bits, 32));
   const bool framed = params.policy == core::FramePolicy::framed;
-  exec::Executor pool(3);
-  const core::LfsrCover proto(params.vector_bits, seed);
+  // Reused across sizes, like the cipher adapters reuse theirs.
+  core::Encryptor enc(key, core::make_lfsr_cover(params.vector_bits, seed), params);
+  core::Decryptor dec(key, 0, params);
   for (const std::size_t size : kSizes) {
     const std::vector<std::uint8_t> msg = random_message(rng, size);
     const std::vector<std::uint8_t> want =
         ref::mhhea_encrypt(msg, raw, seed, params.vector_bits, framed);
     EXPECT_EQ(core::encrypt(msg, key, seed, params), want) << "size " << size;
-    for (const int shards : kShardCounts) {
-      EXPECT_EQ(core::encrypt_sharded(msg, key, proto, shards, &pool, params), want)
-          << "size " << size << " shards " << shards;
-      EXPECT_EQ(core::decrypt_sharded(want, key, size, shards, &pool, params), msg)
-          << "size " << size << " shards " << shards;
-    }
+    std::vector<std::uint8_t> ct(want.size());
+    EXPECT_EQ(enc.encrypt_into(msg, ct), want.size()) << "size " << size;
+    EXPECT_EQ(ct, want) << "size " << size;
+    std::vector<std::uint8_t> back(size);
+    EXPECT_EQ(dec.decrypt_into(want, static_cast<std::uint64_t>(size) * 8, back), size)
+        << "size " << size;
+    EXPECT_EQ(back, msg) << "size " << size;
     // Cross-decryption in both directions: production decrypt of the naive
     // ciphertext and naive decrypt of the production ciphertext.
     EXPECT_EQ(core::decrypt(want, key, size, params), msg) << "size " << size;
@@ -534,13 +531,10 @@ TEST(ReferenceSealed, AdapterMatchesNaiveContainerAtEveryShardCount) {
     const std::vector<std::uint8_t> msg = random_message(rng, size);
     const std::vector<std::uint8_t> want =
         ref::seal(msg, raw, seed, params.vector_bits, true);
-    for (const int shards : kShardCounts) {
-      crypto::MhheaCipher cipher(key, seed, params, crypto::MhheaCipher::Framing::sealed,
-                                 shards);
-      const auto ct = cipher.encrypt(msg);
-      EXPECT_EQ(ct, want) << "size " << size << " shards " << shards;
-      EXPECT_EQ(cipher.decrypt(ct, size), msg) << "size " << size << " shards " << shards;
-    }
+    crypto::MhheaCipher cipher(key, seed, params, crypto::MhheaCipher::Framing::sealed);
+    const auto ct = cipher.encrypt(msg);
+    EXPECT_EQ(ct, want) << "size " << size;
+    EXPECT_EQ(cipher.decrypt(ct, size), msg) << "size " << size;
   }
 }
 
@@ -554,8 +548,7 @@ TEST(ReferenceHhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
     std::mt19937_64 rng(0x5EED0040 + (framed ? 1 : 0));
     const auto [raw, key] = random_key(rng, params);
     const std::uint64_t seed = nonzero_seed(rng, params.vector_bits);
-    exec::Executor pool(3);
-    const core::LfsrCover proto(params.vector_bits, seed);
+    crypto::HheaCipher cipher(key, seed, params);
     for (const std::size_t size : kSizes) {
       const std::vector<std::uint8_t> msg = random_message(rng, size);
       const std::vector<std::uint8_t> want =
@@ -564,22 +557,19 @@ TEST(ReferenceHhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
           << "size " << size << " framed " << framed;
       EXPECT_EQ(crypto::hhea_decrypt(want, key, size, params), msg)
           << "size " << size << " framed " << framed;
-      for (const int shards : kShardCounts) {
-        EXPECT_EQ(crypto::hhea_encrypt_sharded(msg, key, proto, shards, &pool, params),
-                  want)
-            << "size " << size << " framed " << framed << " shards " << shards;
-        EXPECT_EQ(crypto::hhea_decrypt_sharded(want, key, size, shards, &pool, params),
-                  msg)
-            << "size " << size << " framed " << framed << " shards " << shards;
-      }
+      // The adapter's reused span-based cores, across every size in turn.
+      EXPECT_EQ(cipher.encrypt(msg), want) << "size " << size << " framed " << framed;
+      EXPECT_EQ(cipher.decrypt(want, size), msg) << "size " << size << " framed " << framed;
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// The full registry: every cipher the bench sweeps, every shard count,
-// differential against its own shards=1 stream plus round-trip (the per-
-// algorithm naive references above pin the shards=1 stream itself).
+// The full registry: every cipher the bench sweeps, one instance reused
+// across every size differential against a fresh instance per message, plus
+// round-trip (the per-algorithm naive references above pin the stream
+// itself). A reused cipher must be a pure function of its configuration and
+// the message, whatever it encrypted before.
 
 TEST(ReferenceRegistry, AllCiphersShardInvariantAndRoundTrip) {
   std::mt19937_64 rng(0x5EED0050);
@@ -589,20 +579,12 @@ TEST(ReferenceRegistry, AllCiphersShardInvariantAndRoundTrip) {
       for (const std::size_t size : kSizes) {
         baselines.push_back(random_message(rng, size));
       }
-      std::vector<std::vector<std::uint8_t>> want;
-      {
-        auto base = crypto::CipherRegistry::builtin().make(name, seed, 1);
-        for (const auto& msg : baselines) want.push_back(base->encrypt(msg));
-      }
-      for (const int shards : kShardCounts) {
-        auto cipher = crypto::CipherRegistry::builtin().make(name, seed, shards);
-        for (std::size_t i = 0; i < baselines.size(); ++i) {
-          const auto ct = cipher->encrypt(baselines[i]);
-          EXPECT_EQ(ct, want[i]) << name << " size " << baselines[i].size() << " shards "
-                                 << shards;
-          EXPECT_EQ(cipher->decrypt(ct, baselines[i].size()), baselines[i])
-              << name << " size " << baselines[i].size() << " shards " << shards;
-        }
+      auto cipher = crypto::CipherRegistry::builtin().make(name, seed);
+      for (const auto& msg : baselines) {
+        const auto want = crypto::CipherRegistry::builtin().make(name, seed)->encrypt(msg);
+        const auto ct = cipher->encrypt(msg);
+        EXPECT_EQ(ct, want) << name << " size " << msg.size();
+        EXPECT_EQ(cipher->decrypt(ct, msg.size()), msg) << name << " size " << msg.size();
       }
     }
   }

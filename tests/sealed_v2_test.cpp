@@ -198,27 +198,6 @@ TEST(SealedV2, V2EntryPointsRequireV2Framing) {
   EXPECT_THROW((void)raw.open_v2_authenticate(fx.sealed), std::logic_error);
 }
 
-TEST(SealedV2, ShardInvarianceUnderExplicitNonce) {
-  // The sharded sealer is bit-exact with the sequential one for every nonce,
-  // and either side opens the other's containers.
-  V2Fixture fx;
-  MhheaCipher sharded(fx.key, 0xACE1, fx.params, MhheaCipher::Framing::sealed_v2, 4);
-  util::Xoshiro256 rng(0x57a6);
-  std::vector<std::uint8_t> big(40000);
-  for (auto& b : big) b = static_cast<std::uint8_t>(rng.below(256));
-  for (std::uint64_t nonce : {std::uint64_t{0}, std::uint64_t{3}, std::uint64_t{99}}) {
-    std::vector<std::uint8_t> a(fx.cipher.sealed_v2_size(big.size(), nonce));
-    std::vector<std::uint8_t> b(sharded.sealed_v2_size(big.size(), nonce));
-    ASSERT_EQ(a.size(), b.size()) << nonce;
-    (void)fx.cipher.seal_v2_into(big, nonce, a);
-    (void)sharded.seal_v2_into(big, nonce, b);
-    EXPECT_EQ(a, b) << nonce;
-    std::vector<std::uint8_t> back(big.size());
-    (void)sharded.decrypt_v2_payload(sharded.open_v2_authenticate(a), back);
-    EXPECT_EQ(back, big) << nonce;
-  }
-}
-
 TEST(SealedV2, DistinctNoncesDistinctKeystream) {
   V2Fixture fx;
   std::vector<std::uint8_t> a(fx.cipher.sealed_v2_size(fx.msg.size(), 5));

@@ -205,20 +205,6 @@ TEST(Session, TamperedContainerThrowsBeforeDecryption) {
   }
 }
 
-TEST(Session, ShardCountDoesNotChangeTheWire) {
-  // A sharded sealer produces byte-identical containers (jump-ahead shard
-  // planning is bit-exact), and a single-shard opener reads them.
-  util::Xoshiro256 rng(0x5ead);
-  const auto msg = random_message(rng, 50000);
-  Session seq = Session::from_master(kMaster, 8, core::BlockParams::hardware(), 1);
-  Session par = Session::from_master(kMaster, 8, core::BlockParams::hardware(), 4);
-  const auto a = seq.seal(msg);
-  const auto b = par.seal(msg);
-  EXPECT_EQ(a, b);
-  Session opener = make_pair_session();
-  EXPECT_EQ(opener.open(a), msg);
-}
-
 TEST(Session, ExplicitKeyConstructor) {
   util::Xoshiro256 rng(0x991);
   const auto params = core::BlockParams::hardware();

@@ -39,6 +39,11 @@ Rules (each with an ID used in findings and suppressions):
                       can leak through NDEBUG divergence; use the throwing
                       validators instead.
 
+  stale-allowlist     Every path in the throw-type allowlist must exist. An
+                      entry left behind by a deleted file would silently
+                      license the restricted types for any new file that
+                      later reuses the name.
+
 Zero findings exits 0; findings are printed one per line
 (`path:line: rule-id: message`) and exit 1. `--self-test` seeds one
 violation per rule into a temp tree and asserts the linter catches each —
@@ -80,16 +85,13 @@ RESTRICTED_THROW_ALLOWLIST = {
         "src/lfsr/polynomials.cpp", # polynomial table domain [2,32]
     },
     "std::runtime_error": {
-        "src/util/thread_pool.hpp", # submit after shutdown
         "src/exec/executor.cpp",    # submit after shutdown
         "src/core/cover.cpp",       # finite cover exhausted
         "src/core/mhhea.cpp",       # cover exhausted mid-encrypt
-        "src/core/shard.cpp",       # cover exhausted mid-plan
-        "src/crypto/hhea.cpp",      # cover exhausted mid-plan
         "src/server/server.cpp",    # socket/epoll environment failures
     },
     "std::logic_error": {
-        "src/core/cover.cpp",           # clone/reset/reseed unsupported
+        "src/core/cover.cpp",           # reset/reseed unsupported
         "src/crypto/mhhea_cipher.cpp",  # v2 entry point under wrong framing
     },
 }
@@ -255,6 +257,20 @@ def lint_tree(root: Path) -> list[Finding]:
     return findings
 
 
+def stale_allowlist_findings(root: Path,
+                             allowlist: dict[str, set[str]]) -> list[Finding]:
+    """One finding per allowlisted path that does not exist under `root`."""
+    findings: list[Finding] = []
+    for thrown, paths in sorted(allowlist.items()):
+        for rel in sorted(paths):
+            if not (root / rel).is_file():
+                findings.append(Finding(Path(rel), 0, "stale-allowlist",
+                                        f"allowlist entry for {thrown} names a file "
+                                        "that does not exist; remove it from "
+                                        "RESTRICTED_THROW_ALLOWLIST"))
+    return findings
+
+
 # --- negative self-test ----------------------------------------------------
 
 SELF_TEST_SOURCES = {
@@ -353,12 +369,24 @@ def run_self_test() -> int:
         )
         if lint_tree(root):
             failures.append("self-test suppression: lint-ok comment did not suppress")
+    # 4. An allowlist entry naming a missing file must fire; one naming an
+    #    existing file must not.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "src/core").mkdir(parents=True)
+        (root / "src/core/present.cpp").write_text("void f() {}\n", encoding="utf-8")
+        allowlist = {"std::runtime_error": {"src/core/present.cpp", "src/core/gone.cpp"}}
+        found = stale_allowlist_findings(root, allowlist)
+        if [f.path.as_posix() for f in found] != ["src/core/gone.cpp"] or \
+                any(f.rule != "stale-allowlist" for f in found):
+            failures.append("self-test stale-allowlist: expected exactly one finding for "
+                            f"src/core/gone.cpp, got {[str(f) for f in found] or 'none'}")
 
     if failures:
         for f in failures:
             print(f, file=sys.stderr)
         return 1
-    print(f"lint self-test: {len(SELF_TEST_SOURCES) + 2} cases OK")
+    print(f"lint self-test: {len(SELF_TEST_SOURCES) + 3} cases OK")
     return 0
 
 
@@ -373,7 +401,8 @@ def main() -> int:
     if args.self_test:
         return run_self_test()
 
-    findings = lint_tree(args.root)
+    findings = lint_tree(args.root) + stale_allowlist_findings(args.root,
+                                                              RESTRICTED_THROW_ALLOWLIST)
     for f in findings:
         print(f)
     if findings:

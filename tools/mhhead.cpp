@@ -9,25 +9,32 @@
 //   --tcp PORT          listen on loopback TCP (0 = ephemeral; the bound
 //                       port is printed to stdout)
 //   --master HEX        session master secret, hex-encoded (required)
-//   --shards N          per-session intra-message shard knob (default 1)
-//   --max-inflight N    crypto requests in flight before shedding (def. 128)
-//   --max-conns N       live connection cap (default 1024)
-//   --timeout-ms N      slow-loris/partial-frame timeout (default 5000)
-//   --max-frame BYTES   frame length cap (default 1 MiB)
+//   --max-inflight N    crypto requests in flight before shedding (def. 128;
+//                       0 sheds every crypto request)
+//   --max-conns N       live connection cap (default 1024; >= 1)
+//   --timeout-ms N      slow-loris/partial-frame timeout (default 5000; >= 1)
+//   --max-frame BYTES   frame length cap (default 1 MiB; >= 1)
 //   --compress METHOD   compress outbound (response) seals: raw|lzss|huffman
 //                       (default raw; falls back per message, never grows a
 //                       frame — opening always accepts every method)
+//
+// Numeric values must be whole decimal integers inside their range; anything
+// else (a port above 65535, trailing junk, a negative limit) exits 2 with
+// the usage message before a socket is bound.
 //
 // The daemon serves until SIGINT/SIGTERM, then drains in-flight requests
 // and exits 0. "READY" plus the endpoint is printed once the socket is
 // listening, so scripted callers (CI's server-smoke job) can wait for the
 // line instead of sleeping.
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <semaphore>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/server/server.hpp"
@@ -43,19 +50,31 @@ void on_signal(int) { g_stop.release(); }
 [[noreturn]] void usage_error(const std::string& msg) {
   std::cerr << "mhhead: " << msg
             << "\nusage: mhhead (--uds PATH | --tcp PORT) --master HEX"
-               " [--shards N] [--max-inflight N] [--max-conns N]"
+               " [--max-inflight N] [--max-conns N]"
                " [--timeout-ms N] [--max-frame BYTES]"
                " [--compress raw|lzss|huffman]\n";
   std::exit(2);
 }
 
-long parse_long(const std::string& flag, const std::string& value) {
-  try {
-    return std::stol(value);
-  } catch (const std::exception&) {
-    usage_error(flag + ": not a number: " + value);
+/// The whole of `value` as a decimal integer in [lo, hi]; anything else is
+/// a usage error. std::from_chars takes no sign prefix other than '-', no
+/// whitespace and no trailing characters, and reports overflow.
+long long parse_int(const std::string& flag, const std::string& value, long long lo,
+                    long long hi) {
+  long long v = 0;
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  if (value.empty() || ec != std::errc{} || ptr != last) {
+    usage_error(flag + ": not an integer: " + value);
   }
+  if (v < lo || v > hi) {
+    usage_error(flag + ": " + value + " is outside [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "]");
+  }
+  return v;
 }
+
+constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 }  // namespace
 
@@ -72,7 +91,8 @@ int main(int argc, char** argv) {
       cfg.uds_path = need_value("--uds");
       have_endpoint = true;
     } else if (arg == "--tcp") {
-      cfg.tcp_port = static_cast<std::uint16_t>(parse_long("--tcp", need_value("--tcp")));
+      cfg.tcp_port = static_cast<std::uint16_t>(
+          parse_int("--tcp", need_value("--tcp"), 0, std::numeric_limits<std::uint16_t>::max()));
       have_endpoint = true;
     } else if (arg == "--master") {
       try {
@@ -80,20 +100,18 @@ int main(int argc, char** argv) {
       } catch (const std::invalid_argument& e) {
         usage_error(std::string("--master: ") + e.what());
       }
-    } else if (arg == "--shards") {
-      cfg.shards = static_cast<int>(parse_long("--shards", need_value("--shards")));
     } else if (arg == "--max-inflight") {
-      cfg.max_inflight =
-          static_cast<int>(parse_long("--max-inflight", need_value("--max-inflight")));
+      cfg.max_inflight = static_cast<int>(
+          parse_int("--max-inflight", need_value("--max-inflight"), 0, kIntMax));
     } else if (arg == "--max-conns") {
       cfg.max_connections =
-          static_cast<int>(parse_long("--max-conns", need_value("--max-conns")));
+          static_cast<int>(parse_int("--max-conns", need_value("--max-conns"), 1, kIntMax));
     } else if (arg == "--timeout-ms") {
       cfg.request_timeout_ms =
-          static_cast<int>(parse_long("--timeout-ms", need_value("--timeout-ms")));
+          static_cast<int>(parse_int("--timeout-ms", need_value("--timeout-ms"), 1, kIntMax));
     } else if (arg == "--max-frame") {
-      cfg.max_frame_bytes =
-          static_cast<std::size_t>(parse_long("--max-frame", need_value("--max-frame")));
+      cfg.max_frame_bytes = static_cast<std::size_t>(parse_int(
+          "--max-frame", need_value("--max-frame"), 1, std::numeric_limits<long long>::max()));
     } else if (arg == "--compress") {
       try {
         cfg.compression = mhhea::compress::method_from_name(need_value("--compress"));
