@@ -1,5 +1,6 @@
 // The MHHEA encryptor / decryptor — the paper's primary contribution as a
-// clean software library.
+// clean software library, and the one block engine every hiding cipher in
+// this repository runs on.
 //
 // Encryption hides the message bit stream inside successive hiding-vector
 // blocks (see block.hpp for the per-block transform and params.hpp for the
@@ -17,8 +18,15 @@
 // vector-per-clock datapath: message bits are pulled from the BitReader in
 // w-bit words, cover vectors are prefetched in chunks through
 // CoverSource::next_blocks, and each block is embedded/extracted with one
-// masked word operation (block.hpp). Both cores are resettable so adapters
-// can amortize construction across messages.
+// masked word operation (block.hpp). Both cores are reusable across
+// messages, so adapters amortize construction.
+//
+// The engine is a template over a compile-time window policy — where a
+// block's message word lands and which key pattern it is XORed with:
+// ScrambledWindow is MHHEA (location and data scrambling), FixedWindow is
+// the original HHEA [SHAAR03] (both scramblers bypassed). Encryptor and
+// Decryptor name the MHHEA instantiation; crypto::HheaCipher runs the fixed
+// one. Each instantiation has exactly one encrypt walk and one decrypt walk.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +38,14 @@
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
-#include "src/util/bitstream.hpp"
 
 namespace mhhea::core {
 
 namespace detail {
 /// Per-pair constants of the cipher hot loops: the pair plus its cached
 /// data-scramble pattern (avoids the mod-L divide of Key::pair_for_block
-/// and the per-block pattern rebuild). Shared by Encryptor and Decryptor so
-/// the caches cannot drift apart.
+/// and the per-block pattern rebuild). Shared by both cores so the caches
+/// cannot drift apart.
 struct PairCtx {
   KeyPair pair;
   std::uint64_t pattern = 0;
@@ -52,178 +59,109 @@ inline std::vector<PairCtx> make_pair_ctx(const Key& key, const BlockParams& par
 }
 }  // namespace detail
 
-/// Streaming encryptor. Feed message bytes/bits; collect N-bit ciphertext
-/// blocks. One instance encrypts one message at a time; reset() rewinds the
-/// cover source and starts a fresh message without reallocating.
-///
-/// Incremental feeds are equivalent to one shot: blocks()/cipher_bytes()
-/// always reflect the ciphertext of the message fed so far *as if it were
-/// complete*. Feeding more data may therefore re-emit the stream's tail —
-/// the final block when it was partially filled (continuous policy), or the
-/// whole final frame when it was opened undersized (framed policy) — with
-/// the same cover vectors but more message bits packed in.
-class Encryptor {
+/// MHHEA's window: the replacement range is scrambled from the block's high
+/// half and the message word is XORed with the pair's K1 pattern
+/// (block.hpp).
+struct ScrambledWindow {
+  [[nodiscard]] static ScrambledRange range(std::uint64_t v, const KeyPair& pair,
+                                            const BlockParams& params) {
+    return scramble_range(v, pair, params);
+  }
+  [[nodiscard]] static std::uint64_t pattern(const detail::PairCtx& pc) { return pc.pattern; }
+};
+
+/// HHEA's window: message bits go verbatim into the fixed key range
+/// [K1, K2] — kn1 = K1, width = d+1, pattern 0. The degenerate case of the
+/// same embed: embed_bits_with_pattern(v, K1, 0, bits, w) deposits `bits`
+/// into V[K1 .. K1+w-1] and extract is V >> K1.
+struct FixedWindow {
+  [[nodiscard]] static constexpr ScrambledRange range(std::uint64_t /*v*/, const KeyPair& pair,
+                                                      const BlockParams& /*params*/) {
+    return {pair.lo(), pair.hi()};
+  }
+  [[nodiscard]] static constexpr std::uint64_t pattern(const detail::PairCtx& /*pc*/) {
+    return 0;
+  }
+};
+
+/// One-shot encryptor core. Each call encrypts one whole message from the
+/// start of the cover stream, so a reused instance is a pure function of its
+/// key, cover and params.
+template <class Window>
+class BlockEncryptor {
  public:
   /// Takes ownership of the cover source (LFSR for encryption mode, buffer
-  /// for steganography mode).
-  Encryptor(Key key, std::unique_ptr<CoverSource> cover,
-            BlockParams params = BlockParams::paper());
+  /// for steganography mode). The cover must be resettable (see
+  /// CoverSource::reset): every call rewinds it.
+  BlockEncryptor(Key key, std::unique_ptr<CoverSource> cover,
+                 BlockParams params = BlockParams::paper());
 
-  /// Encrypt all bits of `msg` (appended to any previously fed data).
-  void feed(std::span<const std::uint8_t> msg);
-  /// Encrypt `n_bits` bits from `reader`.
-  void feed_bits(util::BitReader& reader, std::size_t n_bits);
-  /// One-shot fast path: encrypt the whole of `msg` into the caller's buffer
-  /// and return the ciphertext bytes written. The message length is known up
-  /// front, so blocks are planned and emitted final-sized straight into
-  /// `out` — no re-openable tail bookkeeping, no replay, no internal
-  /// ciphertext storage — which is both the zero-allocation contract (the
-  /// only buffer touched is the resident cover prefetch chunk) and the
-  /// single-thread speedup over reset()+feed(). Byte-identical to
-  /// reset()+feed(msg) -> cipher_bytes() for both framing policies. Throws
-  /// std::length_error if `out` cannot hold the ciphertext (bytes already
-  /// written are unspecified). Implies reset(): afterwards the streaming
-  /// accessors see a fresh, empty stream.
+  /// Encrypt the whole of `msg` into the caller's buffer and return the
+  /// ciphertext bytes written. The message length is known up front, so
+  /// blocks are planned and emitted final-sized straight into `out`; the
+  /// only other buffer touched is the resident cover prefetch chunk (zero
+  /// heap allocations). Throws std::length_error if `out` cannot hold the
+  /// ciphertext and std::runtime_error if the cover runs dry (bytes already
+  /// written are unspecified in both cases).
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
-  /// Exact ciphertext bytes a one-shot encryption of an `n_bits`-bit message
-  /// would produce. Costs a cover + scramble-width scan (roughly a third of
-  /// a full encryption — cheap enough to size a buffer, not free). Implies
-  /// reset(), like encrypt_into.
+  /// Exact ciphertext bytes encrypt_into would produce for an `n_bits`-bit
+  /// message: the same walk with the message read, embed and store compiled
+  /// out. Costs a cover + window scan (roughly a third of a full encryption
+  /// — cheap enough to size a buffer, not free).
   [[nodiscard]] std::uint64_t one_shot_cipher_bytes(std::uint64_t n_bits);
-  /// Start a new message: drops all produced blocks (keeping their storage)
-  /// and rewinds the cover source. Requires a resettable cover
-  /// (std::logic_error otherwise — see CoverSource::reset).
-  void reset();
-  /// Re-seed the cover source and start a new message — the per-nonce entry
-  /// point of the sealed-v2 session (one derived seed per message keeps the
-  /// long-lived core from ever reusing cover keystream). Requires a
-  /// reseedable cover (std::logic_error otherwise — see CoverSource::reseed).
-  void reseed(std::uint64_t seed);
-  /// Total message bits consumed so far.
-  [[nodiscard]] std::uint64_t message_bits() const noexcept { return msg_bits_; }
-  /// Ciphertext blocks produced so far (deserialized view of the stream,
-  /// extended lazily — the stream itself is stored serialized).
-  [[nodiscard]] const std::vector<std::uint64_t>& blocks() const;
-  /// Ciphertext blocks serialized little-endian, block_bytes() per block.
-  [[nodiscard]] const std::vector<std::uint8_t>& cipher_bytes() const noexcept {
-    return cipher_;
-  }
-
-  [[nodiscard]] const BlockParams& params() const noexcept { return params_; }
-  [[nodiscard]] const Key& key() const noexcept { return key_; }
+  /// Re-seed the cover source — the per-nonce entry point of the sealed-v2
+  /// session (one derived seed per message keeps the long-lived core from
+  /// ever reusing cover keystream). Requires a reseedable cover
+  /// (std::logic_error otherwise — see CoverSource::reseed).
+  void reseed(std::uint64_t seed) { cover_->reseed(seed); }
 
  private:
-  /// A block that may be rolled back and re-embedded when more data arrives.
-  struct TailBlock {
-    std::uint64_t v = 0;     // cover vector, reused verbatim on re-embed
-    std::uint64_t bits = 0;  // message bits embedded (low `w` bits)
-    int w = 0;
-  };
-
-  /// Scramble outcome for one block: where the message word lands (kn1),
-  /// the block's capacity, and the width actually embedded this feed.
-  struct BlockPlan {
-    int kn1 = 0;
-    int cap = 0;
-    int w = 0;
-  };
-
-  void encrypt_frame_bit_run(util::BitReader& reader, std::size_t n_bits);
-  /// Frame-batched steady state of the framed policy: plans and emits a
-  /// whole frame's block run per pass — one bulk message-word read (a frame
-  /// is <= vector_bits <= 64 bits), the frame budget resolved up front, and
-  /// msg_bits_/frame bookkeeping written back once per frame instead of once
-  /// per block. frame_log_ is maintained only for the frame this feed ends
-  /// in — the only one the tail-replay can ever re-open. Bit-identical to
-  /// the block-at-a-time walk (pinned by mhhea_hardware.kat/mhhea_sealed.kat
-  /// and the reference-model sweep).
-  void encrypt_framed_frames(util::BitReader& reader, std::size_t remaining,
-                             TailBlock& last, int& last_cap);
-  /// Append one serialized ciphertext block (block_bytes() little-endian
-  /// bytes; push_back beats resize+store — resize value-initializes).
-  void append_block(std::uint64_t ct);
-  [[nodiscard]] BlockPlan plan_block(std::uint64_t v, std::size_t remaining,
-                                     bool framed) const;
-  /// Embed a planned block and update stream/frame bookkeeping; fills `tb`
-  /// with the re-openable description of the block.
-  void emit_block(std::uint64_t v, const BlockPlan& plan, std::uint64_t msg_word,
-                  bool framed, TailBlock& tb);
-  /// Refill the prefetched cover-vector chunk. Never fetches more blocks
-  /// than `remaining_bits` can consume, so finite covers are drained exactly
-  /// as in the block-at-a-time formulation.
-  void refill_cover(std::size_t remaining_bits);
+  /// The one block walk. kEmit = false drops the message read, embed and
+  /// store, leaving the size scan; both return the ciphertext bytes.
+  template <bool kEmit>
+  std::uint64_t walk(std::span<const std::uint8_t> msg, std::uint64_t n_bits,
+                     std::span<std::uint8_t> out);
 
   Key key_;
   std::unique_ptr<CoverSource> cover_;
   BlockParams params_;
   std::vector<detail::PairCtx> pair_ctx_;
-  /// The ciphertext, kept serialized (block_bytes() little-endian bytes per
-  /// block): the hot loop stores 2 bytes per paper-sized block instead of a
-  /// widened uint64 — a 4x cut in store traffic on large messages.
-  std::vector<std::uint8_t> cipher_;
-  /// Decoded prefix of cipher_ for blocks(); extended on demand, trimmed by
-  /// the tail-replay rollback.
-  mutable std::vector<std::uint64_t> blocks_cache_;
-  std::uint64_t block_index_ = 0;  // the algorithm's i (before mod L)
-  std::size_t pair_idx_ = 0;       // block_index_ mod L, maintained cyclically
-  std::uint64_t msg_bits_ = 0;
-  int frame_remaining_ = 0;  // framed policy: bits left in the current frame
-  int frame_size_ = 0;       // framed policy: size the current frame opened with
-  std::vector<TailBlock> tail_;       // re-openable tail of the stream
-  bool tail_whole_frame_ = false;     // tail_ spans the whole (short) frame
-  std::vector<TailBlock> frame_log_;  // framed: blocks of the current frame
   std::vector<std::uint64_t> cover_buf_;  // prefetched hiding vectors
-  std::size_t cover_pos_ = 0;
-  std::size_t cover_len_ = 0;
 };
 
-/// Streaming decryptor: feed ciphertext blocks, collect message bits.
-/// `message_bits` must be known (transported by the framed file format in
-/// frame.hpp, or out of band as the paper's EOF). reset() rewinds the core
-/// for a new ciphertext without reallocating.
-class Decryptor {
+/// One-shot decryptor core: the message length is named per call (carried
+/// by the framed file format in frame.hpp, or out of band as the paper's
+/// EOF).
+template <class Window>
+class BlockDecryptor {
  public:
-  Decryptor(Key key, std::uint64_t message_bits, BlockParams params = BlockParams::paper());
+  /// `message_bits` is unused — every decrypt_into call names its own
+  /// length. It stays so existing constructions keep compiling.
+  BlockDecryptor(Key key, std::uint64_t message_bits, BlockParams params = BlockParams::paper());
 
-  /// Consume one ciphertext block. Returns the number of message bits
-  /// recovered from it (0 once the message is complete).
-  int feed_block(std::uint64_t block);
-  /// Consume serialized blocks (little-endian, block_bytes() each). Throws
-  /// std::invalid_argument if blocks remain in `cipher` after the message is
-  /// complete — a too-long ciphertext must not round-trip silently.
-  void feed_bytes(std::span<const std::uint8_t> cipher);
-  /// One-shot fast path: decrypt the whole ciphertext of a `message_bits`-bit
-  /// message straight into the caller's buffer (zero-padded to whole bytes)
-  /// and return the bytes written, i.e. ceil(message_bits / 8). Same strict
-  /// contract as feed_bytes plus completeness: std::invalid_argument on
-  /// misaligned, truncated or trailing ciphertext; std::length_error if `out`
-  /// is too small (bytes already written are unspecified). Zero heap
-  /// allocations; implies reset(message_bits), so the streaming accessors see
-  /// a fresh core afterwards.
+  /// Decrypt the whole ciphertext of a `message_bits`-bit message straight
+  /// into the caller's buffer (zero-padded to whole bytes) and return the
+  /// bytes written, i.e. ceil(message_bits / 8). std::invalid_argument on
+  /// misaligned, truncated or trailing ciphertext (blocks beyond the message
+  /// end must not round-trip silently); std::length_error if `out` is too
+  /// small (bytes already written are unspecified). Zero heap allocations.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
                            std::span<std::uint8_t> out);
-  /// Start over, expecting a `message_bits`-bit message.
-  void reset(std::uint64_t message_bits);
-
-  /// True once message_bits bits have been recovered.
-  [[nodiscard]] bool done() const noexcept { return recovered_ == total_bits_; }
-  /// Recovered message so far, zero-padded to whole bytes.
-  [[nodiscard]] const std::vector<std::uint8_t>& message() const;
-  [[nodiscard]] std::uint64_t recovered_bits() const noexcept { return recovered_; }
 
  private:
   Key key_;
   BlockParams params_;
   std::vector<detail::PairCtx> pair_ctx_;
-  std::uint64_t total_bits_;
-  std::uint64_t recovered_ = 0;
-  std::uint64_t block_index_ = 0;
-  std::size_t pair_idx_ = 0;
-  int frame_remaining_ = 0;
-  util::BitWriter out_;
-  mutable std::vector<std::uint8_t> message_cache_;
-  mutable bool cache_valid_ = false;
 };
+
+extern template class BlockEncryptor<ScrambledWindow>;
+extern template class BlockEncryptor<FixedWindow>;
+extern template class BlockDecryptor<ScrambledWindow>;
+extern template class BlockDecryptor<FixedWindow>;
+
+/// The MHHEA cores.
+using Encryptor = BlockEncryptor<ScrambledWindow>;
+using Decryptor = BlockDecryptor<ScrambledWindow>;
 
 // ----------------------------------------------------------------------
 // One-shot helpers (the quickstart API).

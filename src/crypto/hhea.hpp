@@ -8,22 +8,20 @@
 // locations (tests/crypto_test.cpp pins the fixed locations and the absent
 // data XOR) and why the paper added the two scrambling steps.
 //
-// The same CoverSource / framing machinery as the core cipher is reused so
-// HHEA and MHHEA are compared on equal footing; like core::Encryptor the
-// hot path moves whole message words per block and both cores are
-// resettable.
+// HHEA is the same datapath as MHHEA with both scramblers bypassed, so it
+// runs on the same block engine (core/mhhea.hpp) under the FixedWindow
+// policy: same cover prefetch, framing and word-at-a-time embed, compared
+// with MHHEA on equal footing. This file keeps only what is HHEA-specific:
+// the cover-free size cycle and the one-shot helpers.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
-#include "src/util/bitstream.hpp"
 
 namespace mhhea::crypto {
 
@@ -58,70 +56,6 @@ struct WidthCycle {
 };
 
 }  // namespace detail
-
-/// Streaming HHEA encryptor (API mirrors core::Encryptor).
-class HheaEncryptor {
- public:
-  HheaEncryptor(core::Key key, std::unique_ptr<core::CoverSource> cover,
-                core::BlockParams params = core::BlockParams::paper());
-
-  void feed(std::span<const std::uint8_t> msg);
-  /// One-shot fast path: encrypt the whole of `msg` straight into the
-  /// caller's buffer (no internal block storage, zero heap allocations) and
-  /// return the ciphertext bytes written. Byte-identical to
-  /// reset()+feed(msg) -> cipher_bytes(). Throws std::length_error when
-  /// `out` is too small (partial contents unspecified). Implies reset().
-  std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
-  /// Start a new message; requires a resettable cover source.
-  void reset();
-  [[nodiscard]] std::uint64_t message_bits() const noexcept { return msg_bits_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& blocks() const noexcept { return blocks_; }
-  [[nodiscard]] std::vector<std::uint8_t> cipher_bytes() const;
-
- private:
-  core::Key key_;
-  std::unique_ptr<core::CoverSource> cover_;
-  core::BlockParams params_;
-  std::vector<std::uint64_t> blocks_;
-  std::uint64_t block_index_ = 0;
-  std::size_t pair_idx_ = 0;
-  std::uint64_t msg_bits_ = 0;
-  int frame_remaining_ = 0;
-};
-
-/// Streaming HHEA decryptor.
-class HheaDecryptor {
- public:
-  HheaDecryptor(core::Key key, std::uint64_t message_bits,
-                core::BlockParams params = core::BlockParams::paper());
-
-  int feed_block(std::uint64_t block);
-  /// Consume serialized blocks; throws std::invalid_argument on unconsumed
-  /// trailing blocks once the message is complete.
-  void feed_bytes(std::span<const std::uint8_t> cipher);
-  /// One-shot fast path: decrypt the whole ciphertext of a
-  /// `message_bits`-bit message into the caller's buffer (zero-padded to
-  /// whole bytes, ceil(message_bits/8) bytes written — the return value).
-  /// Strict like feed_bytes plus completeness: std::invalid_argument on
-  /// misaligned, truncated or trailing ciphertext; std::length_error when
-  /// `out` is too small. Zero heap allocations; implies reset(message_bits).
-  std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                           std::span<std::uint8_t> out);
-  /// Start over, expecting a `message_bits`-bit message.
-  void reset(std::uint64_t message_bits);
-  [[nodiscard]] bool done() const noexcept { return recovered_ == total_bits_; }
-  [[nodiscard]] std::vector<std::uint8_t> message() const { return out_.bytes(); }
-
- private:
-  core::Key key_;
-  core::BlockParams params_;
-  std::uint64_t total_bits_;
-  std::uint64_t recovered_ = 0;
-  std::uint64_t block_index_ = 0;
-  std::size_t pair_idx_ = 0;
-  int frame_remaining_ = 0;
-  util::BitWriter out_;
-};
 
 /// Exact ciphertext bytes for an `msg_bits`-bit message: HHEA block widths
 /// are fixed by the key alone (span+1 per pair, frame/message caps aside),

@@ -1,13 +1,14 @@
 // Cipher adapter for the baseline HHEA (src/crypto/hhea.hpp), mirroring
 // MhheaCipher: one instance = one (key, nonce, params) configuration with
-// resettable reusable cores, so per-call work is the message itself, not
-// engine construction. Deterministic per call; share one instance per
-// thread.
+// reusable cores of the shared block engine under its fixed window policy,
+// so per-call work is the message itself, not engine construction.
+// Deterministic per call; share one instance per thread.
 #pragma once
 
 #include <cstdint>
 
 #include "src/core/key.hpp"
+#include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/crypto/hhea.hpp"
@@ -52,8 +53,10 @@ class HheaCipher final : public Cipher {
   core::Key key_;
   core::BlockParams params_;
   detail::WidthCycle wc_;  // key's width cycle, built once for size queries
-  HheaEncryptor enc_;  // reusable core, reset per encrypt()
-  HheaDecryptor dec_;  // reusable core, reset per decrypt()
+  // The one block engine under HHEA's fixed window: reusable cores, rewound
+  // per call.
+  core::BlockEncryptor<core::FixedWindow> enc_;
+  core::BlockDecryptor<core::FixedWindow> dec_;
   double expansion_;
 };
 

@@ -3,11 +3,11 @@
 // YAEA-S (Table 1's comparison set).
 //
 // One adapter instance = one (key, nonce, params, framing) configuration.
-// The instance keeps one resettable Encryptor/Decryptor core and rewinds it
-// per call instead of constructing a fresh engine each time — per-message
-// setup (cover construction, key-pattern caches, LFSR leap tables, block
-// storage) is paid once. Calls remain deterministic and independent: the
-// cover source is re-seeded on every reset, so encrypt() is a pure function
+// The instance keeps one reusable Encryptor/Decryptor core instead of
+// constructing a fresh engine each time — per-message setup (cover
+// construction, key-pattern caches, LFSR leap tables, the cover prefetch
+// chunk) is paid once. Calls remain deterministic and independent: the
+// cover source is rewound on every call, so encrypt() is a pure function
 // of the configuration and the message. The reusable core makes calls
 // STATEFUL internally — share one instance per thread (the batch API
 // already builds one cipher per worker).
@@ -88,7 +88,7 @@ class MhheaCipher final : public Cipher {
     }
   }
   /// One-shot encryption straight into the caller's buffer through the
-  /// core's final-sized block planner (no tail-replay bookkeeping); sealed
+  /// core's final-sized block walk; sealed
   /// framing writes its 16-byte header in place ahead of the blocks, and
   /// sealed_v2 seals under nonce 0 (header + blocks + MAC trailer). The
   /// warmed path performs zero heap allocations.
@@ -205,8 +205,8 @@ class MhheaCipher final : public Cipher {
   Framing framing_;
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
   std::uint64_t cur_nonce_ = 0;  // nonce enc_ is seeded for
-  core::Encryptor enc_;  // reusable core, reset per encrypt()
-  core::Decryptor dec_;  // reusable core, reset per decrypt()
+  core::Encryptor enc_;  // reusable core, rewound per encrypt()
+  core::Decryptor dec_;  // reusable core
   // Compression pre-stage (sealed_v2 only): the outbound method knob, the
   // lazily built per-method engines (indexed by tag — openers may need any
   // of them), and the grow-only envelope scratch for each direction. The

@@ -48,39 +48,6 @@ bool BitReader::peek_bit(std::size_t ahead) const noexcept {
   return ((bytes_[p / 8] >> (p % 8)) & 1u) != 0;
 }
 
-void BitWriter::write_bit(bool b) {
-  const std::size_t byte = bits_ / 8;
-  const int bit = static_cast<int>(bits_ % 8);
-  if (byte >= out_.size()) out_.push_back(0);
-  if (b) out_[byte] = static_cast<std::uint8_t>(out_[byte] | (1u << bit));
-  ++bits_;
-}
-
-void BitWriter::write_bits(std::uint64_t v, int n) {
-  assert(n >= 0 && n <= 64);
-  v &= mask64(n);  // bits above n are ignored, as in the bit-by-bit form
-  const std::size_t needed = (bits_ + static_cast<std::size_t>(n) + 7) / 8;
-  if (out_.size() < needed) out_.resize(needed, 0);
-  int written = 0;
-  while (written < n) {
-    const int off = static_cast<int>(bits_ % 8);
-    const int nbits = std::min(8 - off, n - written);
-    out_[bits_ / 8] = static_cast<std::uint8_t>(
-        out_[bits_ / 8] | (((v >> written) & mask64(nbits)) << off));
-    written += nbits;
-    bits_ += static_cast<std::size_t>(nbits);
-  }
-}
-
-void BitWriter::align_to_byte() {
-  while (bits_ % 8 != 0) write_bit(false);
-}
-
-std::vector<std::uint8_t> BitWriter::take() noexcept {
-  bits_ = 0;
-  return std::move(out_);
-}
-
 void SpanBitWriter::write_bits(std::uint64_t v, int n) {
   assert(n >= 0 && n <= 64);
   v &= mask64(n);

@@ -56,51 +56,13 @@ class BitReader {
   /// Reset the cursor to the beginning.
   void rewind() noexcept { pos_ = 0; }
 
-  /// Move the cursor to an absolute bit offset. Throws std::out_of_range
-  /// past the buffer end.
-  void seek(std::size_t bit_pos) {
-    if (bit_pos > size_bits()) {
-      throw std::out_of_range("BitReader::seek: position past end of buffer");
-    }
-    pos_ = bit_pos;
-  }
-
  private:
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
 
-/// Append-only LSB-first bit sink producing a byte vector.
-class BitWriter {
- public:
-  /// Append one bit.
-  void write_bit(bool b);
-  /// Append the low `n` (<=64) bits of `v`, bit 0 first.
-  void write_bits(std::uint64_t v, int n);
-  /// Number of bits written so far.
-  [[nodiscard]] std::size_t size_bits() const noexcept { return bits_; }
-  /// Pad with zero bits to the next byte boundary.
-  void align_to_byte();
-  /// The bytes written so far; a trailing partial byte is zero-padded.
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
-  /// Move the buffer out (leaves the writer empty).
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept;
-  /// Discard everything written, keeping the allocated capacity (the reuse
-  /// hook the resettable decryptor cores need).
-  void clear() noexcept {
-    out_.clear();
-    bits_ = 0;
-  }
-  /// Pre-allocate room for `n` more bits.
-  void reserve_bits(std::size_t n) { out_.reserve((bits_ + n + 7) / 8); }
-
- private:
-  std::vector<std::uint8_t> out_;
-  std::size_t bits_ = 0;
-};
-
 /// LSB-first bit sink over caller-provided storage — the zero-allocation
-/// counterpart of BitWriter the `_into` decrypt paths emit through. Bits
+/// sink the `_into` decrypt paths emit through. Bits
 /// accumulate in a word and are flushed to the span one whole byte at a
 /// time, so each output byte is written exactly once (the target needs no
 /// pre-zeroing). Running past the span throws std::length_error — a short

@@ -177,7 +177,7 @@ TEST(BackendParity, GeffeXorBytesRejectsMismatchedSpans) {
 
 // ------------------------------------------------------------- ciphers
 
-TEST(BackendParity, RegistryCiphersBitIdenticalAcrossEnginesAndShards) {
+TEST(BackendParity, RegistryCiphersBitIdenticalAcrossEngines) {
   if (!avx2_usable()) GTEST_SKIP() << "no avx2 engine on this host/build";
   const auto& reg = crypto::CipherRegistry::builtin();
   const std::size_t sizes[] = {0, 64, 1024, 4096, 20000};

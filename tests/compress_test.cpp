@@ -217,7 +217,7 @@ crypto::MhheaCipher make_v2_cipher() {
                              crypto::MhheaCipher::Framing::sealed_v2);
 }
 
-TEST(CompressedSealedV2, EveryMethodRoundTripsAcrossShardCounts) {
+TEST(CompressedSealedV2, EveryMethodRoundTripsAcrossSizes) {
   for (Method m : kAllMethods) {
     auto cipher = make_v2_cipher();
     cipher.set_compression(m);

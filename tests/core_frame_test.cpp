@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "src/core/block.hpp"
+#include "src/core/cover.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/util/rng.hpp"
 
@@ -288,14 +292,26 @@ TEST(Frame, OpenZeroesSlackBits) {
   // every fed bit was 1 (open() must not leak stale high bits).
   util::Xoshiro256 rng(23);
   const Key key = Key::random(rng, 4);
-  const std::vector<std::uint8_t> dirty = {0xFF, 0xFF};
-  Encryptor enc(key, make_lfsr_cover(BlockParams::paper().vector_bits, 0xACE1));
-  util::BitReader reader(dirty);
-  enc.feed_bits(reader, 13);
+  // The byte-oriented encryptors only take whole bytes, so the 13 one-bits
+  // are embedded here block by block with the per-block transform.
+  LfsrCover cover(BlockParams::paper().vector_bits, 0xACE1);
+  std::vector<std::uint8_t> ct;
+  std::uint64_t word = 0x1FFF;
+  int remaining = 13;
+  for (int i = 0; remaining > 0; ++i) {
+    const KeyPair& pair = key.pair(i % key.size());
+    const std::uint64_t v = cover.next_block(16);
+    const ScrambledRange r = scramble_range(v, pair);
+    const int w = std::min(r.width(), remaining);
+    const std::uint64_t block = embed_bits(v, r, pair, word, w);
+    ct.push_back(static_cast<std::uint8_t>(block & 0xFF));
+    ct.push_back(static_cast<std::uint8_t>(block >> 8));
+    word >>= w;
+    remaining -= w;
+  }
   FrameHeader h;
-  h.message_bits = enc.message_bits();
-  ASSERT_EQ(h.message_bits, 13u);
-  const auto framed = frame_encode(h, enc.cipher_bytes());
+  h.message_bits = 13;
+  const auto framed = frame_encode(h, ct);
   const auto msg = open(framed, key);
   ASSERT_EQ(msg.size(), 2u);
   EXPECT_EQ(msg[0], 0xFF);

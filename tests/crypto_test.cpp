@@ -5,6 +5,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "src/core/cover.hpp"
+#include "src/core/mhhea.hpp"
 #include "src/crypto/hhea.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/bits.hpp"
@@ -42,10 +44,12 @@ TEST(Hhea, LocationsAreFixedPerPair) {
   // Use a deterministic cover so pass-through bits are predictable.
   std::vector<std::uint64_t> cover_blocks(200);
   for (auto& b : cover_blocks) b = rng.below(0x10000);
-  HheaEncryptor enc(key, std::make_unique<core::BufferCover>(cover_blocks));
-  enc.feed(msg);
-  for (std::size_t i = 0; i < enc.blocks().size(); ++i) {
-    const std::uint64_t diff = enc.blocks()[i] ^ cover_blocks[i];
+  core::BlockEncryptor<core::FixedWindow> enc(key,
+                                              std::make_unique<core::BufferCover>(cover_blocks));
+  std::vector<std::uint8_t> ct(hhea_cipher_bytes(key, msg.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(msg, ct), ct.size());
+  for (std::size_t i = 0; i < ct.size() / 2; ++i) {
+    const std::uint64_t diff = util::load_le(ct.data() + 2 * i, 2) ^ cover_blocks[i];
     EXPECT_EQ(diff & ~std::uint64_t{0b111100}, 0u) << "block " << i;
   }
 }
@@ -54,10 +58,12 @@ TEST(Hhea, NoDataScrambling) {
   // Message bits appear verbatim (not XORed) at the key locations.
   const core::Key key = core::Key::parse("0-7");
   const std::vector<std::uint8_t> zeros(16, 0x00);
-  HheaEncryptor enc(key, std::make_unique<core::CountingCover>(0xFF00));
-  enc.feed(zeros);
-  for (std::uint64_t b : enc.blocks()) {
-    EXPECT_EQ(b & 0xFF, 0u);  // all-zero plaintext -> low byte all zero
+  core::BlockEncryptor<core::FixedWindow> enc(key,
+                                              std::make_unique<core::CountingCover>(0xFF00));
+  std::vector<std::uint8_t> ct(hhea_cipher_bytes(key, zeros.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(zeros, ct), ct.size());
+  for (std::size_t i = 0; i < ct.size(); i += 2) {
+    EXPECT_EQ(ct[i], 0u);  // all-zero plaintext -> low byte all zero
   }
 }
 

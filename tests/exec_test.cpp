@@ -190,7 +190,7 @@ TEST(Executor, NestedFanOutDoesNotDeadlockOnOneWorker) {
 // (which capture the caller's locals by reference) are still queued or
 // running.
 
-TEST(RunIndexedUnwind, ExecutorFanOutDuringShutdownThrowsCleanly) {
+TEST(TaskGroupUnwind, FanOutDuringShutdownThrowsCleanly) {
   // When submission is rejected (shutdown in progress), TaskGroup::run rolls
   // its pending count back and rethrows; the fan-out then joins whatever it
   // already queued (TaskGroup::wait, which must not hang on the rejected

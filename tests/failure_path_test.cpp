@@ -137,21 +137,6 @@ TEST(TrailingCiphertext, YaeaRejectsExtraBytes) {
   EXPECT_THROW((void)cipher.decrypt(payload, 0), std::invalid_argument);
 }
 
-TEST(TrailingCiphertext, StreamingFeedBlockAfterDoneStaysIgnorable) {
-  // The explicit streaming API keeps its lenient contract: feed_block once
-  // done returns 0. Only the buffer-level feed_bytes treats it as an error.
-  util::Xoshiro256 rng(32);
-  const core::Key key = core::Key::random(rng, 2);
-  const auto msg = some_message(8);
-  const auto ct = core::encrypt(msg, key, 0xACE1);
-  core::Decryptor dec(key, msg.size() * 8);
-  dec.feed_bytes(ct);
-  ASSERT_TRUE(dec.done());
-  EXPECT_EQ(dec.feed_block(0xFFFF), 0);
-  const std::vector<std::uint8_t> extra = {0xAA, 0x55};
-  EXPECT_THROW(dec.feed_bytes(extra), std::invalid_argument);
-}
-
 // ------------------------------------------------------ cover exhaustion
 
 TEST(CoverExhaustion, BufferCoverRunsDryMidMessage) {
@@ -163,10 +148,13 @@ TEST(CoverExhaustion, BufferCoverRunsDryMidMessage) {
   for (std::size_t i = 0; i < short_cover.size(); ++i) short_cover[i] = 0x1111 * (i + 1);
   core::Encryptor enc(key, std::make_unique<core::BufferCover>(short_cover));
   const auto msg = some_message(64);  // needs far more than 8 blocks
-  EXPECT_THROW(enc.feed(msg), std::runtime_error);
-  // Everything the cover could carry was embedded before the failure.
-  EXPECT_EQ(enc.blocks().size(), short_cover.size());
-  EXPECT_GT(enc.message_bits(), 0u);
+  // Ample output room: the failure must be the cover, not the buffer.
+  std::vector<std::uint8_t> out(msg.size() * 8 * 2);
+  EXPECT_THROW((void)enc.encrypt_into(msg, out), std::runtime_error);
+  // The same for HHEA's fixed window on the shared engine.
+  core::BlockEncryptor<core::FixedWindow> hhea(
+      key, std::make_unique<core::BufferCover>(short_cover));
+  EXPECT_THROW((void)hhea.encrypt_into(msg, out), std::runtime_error);
 }
 
 TEST(CoverExhaustion, NextBlocksReportsPartialFill) {
@@ -200,9 +188,6 @@ TEST(KeyParamsMismatch, WideKeyOnNarrowVectorThrowsEverywhere) {
   EXPECT_THROW(core::Encryptor(wide, core::make_lfsr_cover(16, 1), kPaper),
                std::invalid_argument);
   EXPECT_THROW(core::Decryptor(wide, 8, kPaper), std::invalid_argument);
-  EXPECT_THROW(crypto::HheaEncryptor(wide, core::make_lfsr_cover(16, 1), kPaper),
-               std::invalid_argument);
-  EXPECT_THROW(crypto::HheaDecryptor(wide, 8, kPaper), std::invalid_argument);
   EXPECT_THROW(crypto::MhheaCipher(wide, 0xACE1, kPaper), std::invalid_argument);
   EXPECT_THROW(crypto::HheaCipher(wide, 0xACE1, kPaper), std::invalid_argument);
 }
@@ -217,16 +202,6 @@ TEST(KeyParamsMismatch, BadVectorSizeRejected) {
   bad.vector_bits = 24;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   EXPECT_THROW(core::LfsrCover(24, 1), std::invalid_argument);
-}
-
-// ------------------------------------------------------------- primitives
-
-TEST(EncryptorFailure, FeedBitsBeyondReaderThrows) {
-  const core::Key key = core::Key::parse("0-3");
-  core::Encryptor enc(key, core::make_lfsr_cover(16, 1));
-  const std::vector<std::uint8_t> buf(2, 0xFF);
-  util::BitReader reader(buf);
-  EXPECT_THROW(enc.feed_bits(reader, 17), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- bulk Geffe API
@@ -288,82 +263,13 @@ TEST(FramedBatchStrictness, TrailingCiphertextThrowsEverywhere) {
   auto ct = core::encrypt(msg, key, 0xACE1, params);
   ct.insert(ct.end(), {0xAA, 0x55});  // one whole extra block
   EXPECT_THROW((void)core::decrypt(ct, key, msg.size(), params), std::invalid_argument);
-  // The streaming core: the batched frame walk must still reject bytes fed
-  // after the message completed.
-  core::Decryptor dec(key, static_cast<std::uint64_t>(msg.size()) * 8, params);
+  // The reused core: the batched frame walk must reject the extra block
+  // after a clean decrypt of the exact ciphertext.
+  core::Decryptor dec(key, 0, params);
+  std::vector<std::uint8_t> out(msg.size());
   const std::vector<std::uint8_t> good = core::encrypt(msg, key, 0xACE1, params);
-  dec.feed_bytes(good);
-  EXPECT_TRUE(dec.done());
-  const std::vector<std::uint8_t> extra = {0xAA, 0x55};
-  EXPECT_THROW(dec.feed_bytes(extra), std::invalid_argument);
-}
-
-TEST(FramedBatchStrictness, CoverExhaustionMidFrameLeavesConsistentState) {
-  // The frame-batched encryptor reads a whole frame's bits up front; if the
-  // cover runs dry mid-frame, the bits actually embedded must still be
-  // accounted (message_bits) and the caller's reader must sit exactly past
-  // them — same observable state as the block-at-a-time walk.
-  const core::BlockParams params = core::BlockParams::hardware();
-  const core::Key key = core::Key::parse("0-3,2-5", params);
-  core::Encryptor enc(key,
-                      std::make_unique<core::BufferCover>(
-                          std::vector<std::uint64_t>{0xBEEF, 0x1234, 0xC0DE, 0x5678, 0x9ABC}),
-                      params);
-  const auto msg = some_message(32);
-  util::BitReader reader(msg);
-  EXPECT_THROW(enc.feed_bits(reader, reader.size_bits()), std::runtime_error);
-  EXPECT_EQ(reader.position(), enc.message_bits());
-  // Everything the cover could carry decrypts back to the message prefix.
-  core::Decryptor dec(key, enc.message_bits(), params);
-  dec.feed_bytes(enc.cipher_bytes());
-  EXPECT_TRUE(dec.done());
-  const auto got = dec.message();
-  for (std::size_t i = 0; i < enc.message_bits(); ++i) {
-    ASSERT_EQ((got[i / 8] >> (i % 8)) & 1, (msg[i / 8] >> (i % 8)) & 1) << "bit " << i;
-  }
-}
-
-TEST(FramedBatchStrictness, MessageCacheFreshAfterTrailingThrow) {
-  // The batched frame walk throws on trailing blocks *after* extracting the
-  // preceding frames; a caller that catches must still see those frames in
-  // message(), not a stale snapshot cached before the second feed.
-  const core::BlockParams params = core::BlockParams::hardware();
-  util::Xoshiro256 rng(50);
-  const core::Key key = core::Key::random(rng, 4, params);
-  const auto msg = some_message(32);
-  const auto ct = core::encrypt(msg, key, 0xACE1, params);
-  const auto bb = static_cast<std::size_t>(params.block_bytes());
-  core::Decryptor dec(key, static_cast<std::uint64_t>(msg.size()) * 8, params);
-  dec.feed_bytes(std::span(ct.data(), 3 * bb));
-  (void)dec.message();  // cache a partial snapshot
-  std::vector<std::uint8_t> rest(ct.begin() + static_cast<std::ptrdiff_t>(3 * bb), ct.end());
-  rest.insert(rest.end(), {0xAA, 0x55});  // trailing block
-  EXPECT_THROW(dec.feed_bytes(rest), std::invalid_argument);
-  EXPECT_TRUE(dec.done());
-  auto got = dec.message();
-  got.resize(msg.size());
-  EXPECT_EQ(got, msg);
-}
-
-TEST(FramedBatchStrictness, MidFrameStreamingSplitsStayBitExact) {
-  // Regression guard for the frame-batched decryptor: feeding the same
-  // framed ciphertext in arbitrary block-aligned slices (including splits
-  // inside a frame) must recover the same message as one shot.
-  const core::BlockParams params = core::BlockParams::hardware();
-  util::Xoshiro256 rng(49);
-  const core::Key key = core::Key::random(rng, 3, params);
-  const auto msg = some_message(57);
-  const auto ct = core::encrypt(msg, key, 0xACE1, params);
-  const auto bb = static_cast<std::size_t>(params.block_bytes());
-  for (std::size_t first = 0; first <= ct.size(); first += 3 * bb) {
-    core::Decryptor dec(key, static_cast<std::uint64_t>(msg.size()) * 8, params);
-    dec.feed_bytes(std::span(ct.data(), first));
-    dec.feed_bytes(std::span(ct.data() + first, ct.size() - first));
-    ASSERT_TRUE(dec.done()) << "split " << first;
-    auto got = dec.message();
-    got.resize(msg.size());
-    ASSERT_EQ(got, msg) << "split " << first;
-  }
+  EXPECT_EQ(dec.decrypt_into(good, msg.size() * 8, out), msg.size());
+  EXPECT_THROW((void)dec.decrypt_into(ct, msg.size() * 8, out), std::invalid_argument);
 }
 
 }  // namespace

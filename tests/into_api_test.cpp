@@ -2,7 +2,7 @@
 // bit-equivalence against the allocating APIs across every registry cipher,
 // the exact/upper-bound size queries, buffer failure paths, YAEA-S in-place
 // aliasing, the batch arena forms, and a counting-operator-new check that a
-// warmed encrypt_into loop is heap-allocation-free for MHHEA and YAEA-S.
+// warmed encrypt_into or decrypt_into loop is heap-allocation-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,7 +87,7 @@ class IntoApiTest : public ::testing::TestWithParam<std::string> {};
 // encrypt_into / decrypt_into / ciphertext_size / max_ciphertext_size agree
 // with the allocating APIs for every registry cipher x size, on a second
 // instance so a reused core is checked against a fresh one.
-TEST_P(IntoApiTest, IntoMatchesAllocatingAcrossShardsAndSizes) {
+TEST_P(IntoApiTest, IntoMatchesAllocatingAcrossSizes) {
   util::Xoshiro256 rng(0x1A70);
   const auto reference = CipherRegistry::builtin().make(GetParam(), 0xACE1);
   const auto cipher = CipherRegistry::builtin().make(GetParam(), 0xACE1);
@@ -237,7 +237,7 @@ TEST(BatchArena, LayoutValidation) {
 }
 
 // The headline contract of this surface: once warmed, an encrypt_into loop
-// performs ZERO heap allocations for plain MHHEA and YAEA-S (the adapters'
+// performs ZERO heap allocations for MHHEA, HHEA and YAEA-S (the adapters'
 // resettable cores emit straight into the caller's buffer through resident
 // scratch only).
 TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
@@ -245,7 +245,7 @@ TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
   const auto msg = random_message(rng, 16384);
   // MHHEA-sealed-v2 rides the same contract: header write + SipHash trailer
   // stay on the stack, so authentication adds no allocations.
-  for (const char* name : {"MHHEA", "YAEA-S", "MHHEA-sealed-v2"}) {
+  for (const char* name : {"MHHEA", "HHEA", "YAEA-S", "MHHEA-sealed-v2"}) {
     auto cipher = CipherRegistry::builtin().make(name, 0xACE1);
     std::vector<std::uint8_t> out(cipher->max_ciphertext_size(msg.size()));
     // Warm: first calls may build lazy LFSR leap tables and grow scratch.
@@ -257,6 +257,28 @@ TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
     const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u) << name << ": warmed encrypt_into loop allocated";
     EXPECT_EQ(n, expected) << name;
+  }
+}
+
+// The decrypt half of the same contract: a core warmed on a small message
+// must decrypt a much longer one into the caller's buffer without touching
+// the heap (no message-sized scratch is reserved per call).
+TEST(ZeroAllocation, WarmedDecryptIntoLoop) {
+  util::Xoshiro256 rng(0xDEC0);
+  const auto small = random_message(rng, 64);
+  const auto msg = random_message(rng, 16384);
+  for (const char* name : {"MHHEA", "MHHEA-sealed", "HHEA", "YAEA-S"}) {
+    auto cipher = CipherRegistry::builtin().make(name, 0xACE1);
+    const auto small_ct = cipher->encrypt(small);
+    const auto ct = cipher->encrypt(msg);
+    std::vector<std::uint8_t> out(msg.size());
+    (void)cipher->decrypt_into(small_ct, small.size(), out);
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const std::size_t n = cipher->decrypt_into(ct, msg.size(), out);
+    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << name << ": warmed decrypt_into allocated";
+    EXPECT_EQ(n, msg.size()) << name;
+    EXPECT_EQ(out, msg) << name;
   }
 }
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -454,7 +455,7 @@ TEST(ReferenceGeffe, BulkBytesMatchNaiveKeystream) {
   }
 }
 
-TEST(ReferenceGeffe, YaeaMatchesNaiveXorAtEveryShardCount) {
+TEST(ReferenceGeffe, YaeaMatchesNaiveXorAtEverySize) {
   std::mt19937_64 rng(0x5EED0011);
   const std::uint32_t sa = static_cast<std::uint32_t>(nonzero_seed(rng, 17));
   const std::uint32_t sb = static_cast<std::uint32_t>(nonzero_seed(rng, 19));
@@ -475,9 +476,25 @@ TEST(ReferenceGeffe, YaeaMatchesNaiveXorAtEveryShardCount) {
 // MHHEA block walks vs the naive reference, both policies, one-shot core and
 // the span-based cores.
 
+/// The block geometries both block-walk sweeps run over: the paper and
+/// hardware configurations, 32-bit vectors under both policies and 64-bit
+/// framed vectors.
+const auto kReferenceParams =
+    ::testing::Values(core::BlockParams::paper(), core::BlockParams::hardware(),
+                      core::BlockParams{32, core::FramePolicy::continuous},
+                      core::BlockParams{32, core::FramePolicy::framed},
+                      core::BlockParams{64, core::FramePolicy::framed});
+
+std::string reference_param_name(const ::testing::TestParamInfo<core::BlockParams>& info) {
+  std::string name = "v";
+  name += std::to_string(info.param.vector_bits);
+  name += info.param.policy == core::FramePolicy::framed ? "_framed" : "_continuous";
+  return name;
+}
+
 class ReferenceMhhea : public ::testing::TestWithParam<core::BlockParams> {};
 
-TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
+TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEverySize) {
   const core::BlockParams params = GetParam();
   std::mt19937_64 rng(0x5EED0020 + static_cast<std::uint64_t>(params.vector_bits) +
                       (params.policy == core::FramePolicy::framed ? 1 : 0));
@@ -509,20 +526,9 @@ TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Params, ReferenceMhhea,
-    ::testing::Values(core::BlockParams::paper(), core::BlockParams::hardware(),
-                      core::BlockParams{32, core::FramePolicy::continuous},
-                      core::BlockParams{32, core::FramePolicy::framed},
-                      core::BlockParams{64, core::FramePolicy::framed}),
-    [](const ::testing::TestParamInfo<core::BlockParams>& info) {
-      std::string name = "v";
-      name += std::to_string(info.param.vector_bits);
-      name += info.param.policy == core::FramePolicy::framed ? "_framed" : "_continuous";
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Params, ReferenceMhhea, kReferenceParams, reference_param_name);
 
-TEST(ReferenceSealed, AdapterMatchesNaiveContainerAtEveryShardCount) {
+TEST(ReferenceSealed, AdapterMatchesNaiveContainerAtEverySize) {
   const core::BlockParams params = core::BlockParams::hardware();
   std::mt19937_64 rng(0x5EED0030);
   const auto [raw, key] = random_key(rng, params);
@@ -541,28 +547,29 @@ TEST(ReferenceSealed, AdapterMatchesNaiveContainerAtEveryShardCount) {
 // ---------------------------------------------------------------------
 // HHEA vs the naive fixed-range walk.
 
-TEST(ReferenceHhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
-  for (const bool framed : {false, true}) {
-    const core::BlockParams params{16, framed ? core::FramePolicy::framed
-                                              : core::FramePolicy::continuous};
-    std::mt19937_64 rng(0x5EED0040 + (framed ? 1 : 0));
-    const auto [raw, key] = random_key(rng, params);
-    const std::uint64_t seed = nonzero_seed(rng, params.vector_bits);
-    crypto::HheaCipher cipher(key, seed, params);
-    for (const std::size_t size : kSizes) {
-      const std::vector<std::uint8_t> msg = random_message(rng, size);
-      const std::vector<std::uint8_t> want =
-          ref::hhea_encrypt(msg, raw, seed, params.vector_bits, framed);
-      EXPECT_EQ(crypto::hhea_encrypt(msg, key, seed, params), want)
-          << "size " << size << " framed " << framed;
-      EXPECT_EQ(crypto::hhea_decrypt(want, key, size, params), msg)
-          << "size " << size << " framed " << framed;
-      // The adapter's reused span-based cores, across every size in turn.
-      EXPECT_EQ(cipher.encrypt(msg), want) << "size " << size << " framed " << framed;
-      EXPECT_EQ(cipher.decrypt(want, size), msg) << "size " << size << " framed " << framed;
-    }
+class ReferenceHhea : public ::testing::TestWithParam<core::BlockParams> {};
+
+TEST_P(ReferenceHhea, EncryptMatchesNaiveWalkAtEverySize) {
+  const core::BlockParams params = GetParam();
+  const bool framed = params.policy == core::FramePolicy::framed;
+  std::mt19937_64 rng(0x5EED0040 + static_cast<std::uint64_t>(params.vector_bits) +
+                      (framed ? 1 : 0));
+  const auto [raw, key] = random_key(rng, params);
+  const std::uint64_t seed = nonzero_seed(rng, std::min(params.vector_bits, 32));
+  crypto::HheaCipher cipher(key, seed, params);
+  for (const std::size_t size : kSizes) {
+    const std::vector<std::uint8_t> msg = random_message(rng, size);
+    const std::vector<std::uint8_t> want =
+        ref::hhea_encrypt(msg, raw, seed, params.vector_bits, framed);
+    EXPECT_EQ(crypto::hhea_encrypt(msg, key, seed, params), want) << "size " << size;
+    EXPECT_EQ(crypto::hhea_decrypt(want, key, size, params), msg) << "size " << size;
+    // The adapter's reused span-based cores, across every size in turn.
+    EXPECT_EQ(cipher.encrypt(msg), want) << "size " << size;
+    EXPECT_EQ(cipher.decrypt(want, size), msg) << "size " << size;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Params, ReferenceHhea, kReferenceParams, reference_param_name);
 
 // ---------------------------------------------------------------------
 // The full registry: every cipher the bench sweeps, one instance reused
@@ -571,7 +578,7 @@ TEST(ReferenceHhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
 // itself). A reused cipher must be a pure function of its configuration and
 // the message, whatever it encrypted before.
 
-TEST(ReferenceRegistry, AllCiphersShardInvariantAndRoundTrip) {
+TEST(ReferenceRegistry, AllCiphersReuseInvariantAndRoundTrip) {
   std::mt19937_64 rng(0x5EED0050);
   for (const auto& name : crypto::CipherRegistry::builtin().names()) {
     for (const std::uint64_t seed : {0xB0A710ADULL, 0x5EEDC0DEULL}) {

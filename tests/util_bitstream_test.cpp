@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -110,83 +111,34 @@ TEST(BitReader, RewindRestarts) {
   EXPECT_EQ(r.read_bits(8), 0x81u);
 }
 
-TEST(BitReader, SeekJumpsToAbsoluteBitOffset) {
-  const std::array<std::uint8_t, 4> data = {0x12, 0x34, 0x56, 0x78};
-  BitReader r(data);
-  BitReader stepped(data);
-  (void)stepped.read_bits(13);
-  r.seek(13);
-  EXPECT_EQ(r.position(), 13u);
-  EXPECT_EQ(r.read_bits(11), stepped.read_bits(11));
-  r.seek(0);
-  EXPECT_EQ(r.read_bits(8), 0x12u);
-  r.seek(32);  // seeking exactly to EOF is fine
-  EXPECT_TRUE(r.eof());
-  EXPECT_THROW(r.seek(33), std::out_of_range);
-}
-
-TEST(BitWriter, RoundTripWithReader) {
-  Xoshiro256 rng(42);
-  BitWriter w;
-  std::vector<bool> bits;
-  for (int i = 0; i < 1000; ++i) {
-    const bool b = rng.chance(0.5);
-    bits.push_back(b);
-    w.write_bit(b);
-  }
-  EXPECT_EQ(w.size_bits(), 1000u);
-  const auto bytes = w.bytes();
-  EXPECT_EQ(bytes.size(), 125u);
-  BitReader r(bytes);
-  for (bool b : bits) EXPECT_EQ(r.read_bit(), b);
-}
-
-TEST(BitWriter, WriteBitsMatchesBitByBit) {
-  BitWriter a, b;
-  a.write_bits(0xCA06, 16);
-  for (int i = 0; i < 16; ++i) b.write_bit(((0xCA06 >> i) & 1) != 0);
-  EXPECT_EQ(a.bytes(), b.bytes());
-}
-
-TEST(BitWriter, BulkWritesMatchBitByBitAcrossAlignments) {
-  // Same fast-path-vs-reference sweep as the reader: random widths keep the
-  // cursor at every in-byte alignment, and high garbage bits are ignored.
+TEST(SpanBitWriter, BulkWritesMatchBitByBitAcrossAlignments) {
+  // Random widths keep the cursor at every in-byte alignment, and high
+  // garbage bits are ignored; the bytes read back bit for bit.
   Xoshiro256 rng(0x3117);
-  BitWriter bulk, ref;
+  std::vector<bool> bits;
+  std::vector<std::uint8_t> buf(2000 * 8);
+  SpanBitWriter w(buf);
   for (int trial = 0; trial < 2000; ++trial) {
     const int n = static_cast<int>(rng.below(65));
     const std::uint64_t v = rng.next();  // bits above n must be ignored
-    bulk.write_bits(v, n);
-    for (int i = 0; i < n; ++i) ref.write_bit(((v >> i) & 1) != 0);
-    ASSERT_EQ(bulk.size_bits(), ref.size_bits()) << trial;
+    w.write_bits(v, n);
+    for (int i = 0; i < n; ++i) bits.push_back(((v >> i) & 1) != 0);
+    ASSERT_EQ(w.size_bits(), bits.size()) << trial;
   }
-  EXPECT_EQ(bulk.bytes(), ref.bytes());
+  w.flush();
+  BitReader r(std::span<const std::uint8_t>(buf).first((bits.size() + 7) / 8));
+  for (std::size_t i = 0; i < bits.size(); ++i) ASSERT_EQ(r.read_bit(), bits[i]) << i;
+  while (!r.eof()) EXPECT_FALSE(r.read_bit());  // flush zero-pads the last byte
 }
 
-TEST(BitWriter, ClearKeepsNothing) {
-  BitWriter w;
+TEST(SpanBitWriter, RunningPastTheSpanThrows) {
+  std::array<std::uint8_t, 2> buf{};
+  SpanBitWriter w(buf);
   w.write_bits(0xABCD, 16);
-  w.clear();
-  EXPECT_EQ(w.size_bits(), 0u);
-  EXPECT_TRUE(w.bytes().empty());
-  w.write_bits(0b101, 3);
-  EXPECT_EQ(w.bytes().at(0), 0b101);
-}
-
-TEST(BitWriter, AlignToBytePadsWithZeros) {
-  BitWriter w;
-  w.write_bits(0b101, 3);
-  w.align_to_byte();
-  EXPECT_EQ(w.size_bits(), 8u);
-  EXPECT_EQ(w.bytes().at(0), 0b101);
-}
-
-TEST(BitWriter, TakeResets) {
-  BitWriter w;
-  w.write_bits(0xAB, 8);
-  const auto bytes = w.take();
-  EXPECT_EQ(bytes.size(), 1u);
-  EXPECT_EQ(w.size_bits(), 0u);
+  EXPECT_EQ(buf[0], 0xCD);
+  EXPECT_EQ(buf[1], 0xAB);
+  w.write_bits(0b1, 1);  // pending in the accumulator, not yet stored
+  EXPECT_THROW(w.flush(), std::length_error);
 }
 
 TEST(Words16, RoundTrip) {

@@ -39,10 +39,11 @@ Rules (each with an ID used in findings and suppressions):
                       can leak through NDEBUG divergence; use the throwing
                       validators instead.
 
-  stale-allowlist     Every path in the throw-type allowlist must exist. An
-                      entry left behind by a deleted file would silently
-                      license the restricted types for any new file that
-                      later reuses the name.
+  stale-allowlist     Every path in the throw-type allowlist must exist and
+                      still throw the type it is allowlisted for. An entry
+                      left behind by a deleted file (or by deleted code in a
+                      file that remains) would silently license the
+                      restricted type for whatever code later lands there.
 
 Zero findings exits 0; findings are printed one per line
 (`path:line: rule-id: message`) and exit 1. `--self-test` seeds one
@@ -80,7 +81,6 @@ ALLOWED_THROWS_EVERYWHERE = {
 # them. Paths are repo-relative POSIX.
 RESTRICTED_THROW_ALLOWLIST = {
     "std::out_of_range": {
-        "src/util/bitstream.hpp",   # BitReader::seek past end
         "src/util/bitstream.cpp",   # BitReader::read_bits under-read
         "src/lfsr/polynomials.cpp", # polynomial table domain [2,32]
     },
@@ -257,17 +257,33 @@ def lint_tree(root: Path) -> list[Finding]:
     return findings
 
 
+def throws_type(path: Path, thrown: str) -> bool:
+    """True when some code line of `path` throws `thrown`."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        code = strip_comment(line)
+        for m in THROW_RE.finditer(code):
+            if m.group(1) == thrown and not is_comment_or_string_context(code, m.start()):
+                return True
+    return False
+
+
 def stale_allowlist_findings(root: Path,
                              allowlist: dict[str, set[str]]) -> list[Finding]:
-    """One finding per allowlisted path that does not exist under `root`."""
+    """One finding per allowlisted path that does not exist under `root` or
+    no longer throws the type it is allowlisted for."""
     findings: list[Finding] = []
     for thrown, paths in sorted(allowlist.items()):
         for rel in sorted(paths):
-            if not (root / rel).is_file():
-                findings.append(Finding(Path(rel), 0, "stale-allowlist",
-                                        f"allowlist entry for {thrown} names a file "
-                                        "that does not exist; remove it from "
-                                        "RESTRICTED_THROW_ALLOWLIST"))
+            path = root / rel
+            if not path.is_file():
+                problem = "names a file that does not exist"
+            elif not throws_type(path, thrown):
+                problem = f"names a file that no longer throws {thrown}"
+            else:
+                continue
+            findings.append(Finding(Path(rel), 0, "stale-allowlist",
+                                    f"allowlist entry for {thrown} {problem}; "
+                                    "remove it from RESTRICTED_THROW_ALLOWLIST"))
     return findings
 
 
@@ -370,23 +386,39 @@ def run_self_test() -> int:
         if lint_tree(root):
             failures.append("self-test suppression: lint-ok comment did not suppress")
     # 4. An allowlist entry naming a missing file must fire; one naming an
-    #    existing file must not.
+    #    existing file that throws the type must not.
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "src/core").mkdir(parents=True)
-        (root / "src/core/present.cpp").write_text("void f() {}\n", encoding="utf-8")
+        (root / "src/core/present.cpp").write_text(
+            'void f() { throw std::runtime_error("dry"); }\n', encoding="utf-8")
         allowlist = {"std::runtime_error": {"src/core/present.cpp", "src/core/gone.cpp"}}
         found = stale_allowlist_findings(root, allowlist)
         if [f.path.as_posix() for f in found] != ["src/core/gone.cpp"] or \
                 any(f.rule != "stale-allowlist" for f in found):
             failures.append("self-test stale-allowlist: expected exactly one finding for "
                             f"src/core/gone.cpp, got {[str(f) for f in found] or 'none'}")
+    # 5. An allowlist entry naming a file that exists but no longer throws
+    #    the type (only mentions it in a comment or a string) must fire.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "src/core").mkdir(parents=True)
+        (root / "src/core/quiet.cpp").write_text(
+            "// used to throw std::out_of_range here\n"
+            'const char* f() { return "throw std::out_of_range"; }\n', encoding="utf-8")
+        allowlist = {"std::out_of_range": {"src/core/quiet.cpp"}}
+        found = stale_allowlist_findings(root, allowlist)
+        if [f.path.as_posix() for f in found] != ["src/core/quiet.cpp"] or \
+                any(f.rule != "stale-allowlist" for f in found):
+            failures.append("self-test stale-allowlist (unused entry): expected exactly one "
+                            "finding for src/core/quiet.cpp, got "
+                            f"{[str(f) for f in found] or 'none'}")
 
     if failures:
         for f in failures:
             print(f, file=sys.stderr)
         return 1
-    print(f"lint self-test: {len(SELF_TEST_SOURCES) + 3} cases OK")
+    print(f"lint self-test: {len(SELF_TEST_SOURCES) + 4} cases OK")
     return 0
 
 
