@@ -25,32 +25,34 @@ BlockEncryptor<Window>::BlockEncryptor(Key key, std::unique_ptr<CoverSource> cov
   key_.require_fits(params_, "Encryptor");
   pair_ctx_ = detail::make_pair_ctx(key_, params_);
   cover_buf_.resize(kCoverChunk);
+  for (const KeyPair& p : key_.pairs()) {
+    cycle_min_bits_ += static_cast<std::uint64_t>(Window::min_width(p, params_));
+  }
+}
+
+template <class Window>
+std::uint64_t BlockEncryptor<Window>::max_cipher_bytes(std::uint64_t n_bits) const {
+  if (n_bits == 0) return 0;
+  const auto L = static_cast<std::uint64_t>(pair_ctx_.size());
+  // Any L consecutive uncapped blocks embed at least cycle_min_bits_ bits,
+  // and only caps (the message end, or one block per frame boundary) break
+  // that — both covered by the trailing +L per capped region.
+  const auto vb = static_cast<std::uint64_t>(params_.vector_bits);
+  const std::uint64_t blocks = params_.policy == FramePolicy::framed
+                                   ? (n_bits + vb - 1) / vb * (vb / cycle_min_bits_ * L + L)
+                                   : n_bits / cycle_min_bits_ * L + L;
+  return blocks * static_cast<std::uint64_t>(params_.block_bytes());
 }
 
 template <class Window>
 std::size_t BlockEncryptor<Window>::encrypt_into(std::span<const std::uint8_t> msg,
                                                  std::span<std::uint8_t> out) {
-  return static_cast<std::size_t>(
-      walk<true>(msg, static_cast<std::uint64_t>(msg.size()) * 8, out));
-}
-
-template <class Window>
-std::uint64_t BlockEncryptor<Window>::one_shot_cipher_bytes(std::uint64_t n_bits) {
-  return walk<false>({}, n_bits, {});
-}
-
-template <class Window>
-template <bool kEmit>
-std::uint64_t BlockEncryptor<Window>::walk(std::span<const std::uint8_t> msg,
-                                           std::uint64_t n_bits,
-                                           std::span<std::uint8_t> out) {
   cover_->reset();
   util::BitReader reader(msg);
-  std::uint64_t remaining = n_bits;
+  std::uint64_t remaining = static_cast<std::uint64_t>(msg.size()) * 8;
   const auto bb = static_cast<std::size_t>(params_.block_bytes());
   const auto h = static_cast<std::uint64_t>(params_.half());
   std::uint8_t* dst = out.data();
-  std::uint64_t n_blocks = 0;  // counted by the size scan only
   std::size_t pair_idx = 0;
   std::size_t pos = 0;
   std::size_t len = 0;
@@ -65,10 +67,8 @@ std::uint64_t BlockEncryptor<Window>::walk(std::span<const std::uint8_t> msg,
     len = cover_->next_blocks(params_.vector_bits, std::span(cover_buf_.data(), want));
     pos = 0;
     if (len == 0) throw std::runtime_error("Encryptor: cover source exhausted");
-    if constexpr (kEmit) {
-      if (out.size() - static_cast<std::size_t>(dst - out.data()) < len * bb) {
-        throw std::length_error("Encryptor::encrypt_into: output buffer too small");
-      }
+    if (out.size() - static_cast<std::size_t>(dst - out.data()) < len * bb) {
+      throw std::length_error("Encryptor::encrypt_into: output buffer too small");
     }
   };
   if (params_.policy == FramePolicy::framed) {
@@ -77,8 +77,7 @@ std::uint64_t BlockEncryptor<Window>::walk(std::span<const std::uint8_t> msg,
     // message-word read per frame (a frame is <= vector_bits <= 64 bits).
     while (remaining > 0) {
       const int frame = params_.frame_budget(remaining);
-      std::uint64_t word = 0;
-      if constexpr (kEmit) word = reader.read_bits(frame);
+      const std::uint64_t word = reader.read_bits(frame);
       int consumed = 0;
       while (consumed < frame) {
         if (pos == len) refill(remaining - static_cast<std::uint64_t>(consumed));
@@ -87,15 +86,11 @@ std::uint64_t BlockEncryptor<Window>::walk(std::span<const std::uint8_t> msg,
         if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
         const ScrambledRange r = Window::range(v, pc.pair, params_);
         const int w = std::min(r.width(), frame - consumed);
-        if constexpr (kEmit) {
-          // The embed keeps only the low w bits of the shifted word.
-          util::store_le(
-              dst, embed_bits_with_pattern(v, r.kn1, Window::pattern(pc), word >> consumed, w),
-              static_cast<int>(bb));
-          dst += bb;
-        } else {
-          ++n_blocks;
-        }
+        // The embed keeps only the low w bits of the shifted word.
+        util::store_le(
+            dst, embed_bits_with_pattern(v, r.kn1, Window::pattern(pc), word >> consumed, w),
+            static_cast<int>(bb));
+        dst += bb;
         consumed += w;
       }
       remaining -= static_cast<std::uint64_t>(frame);
@@ -109,19 +104,14 @@ std::uint64_t BlockEncryptor<Window>::walk(std::span<const std::uint8_t> msg,
       const ScrambledRange r = Window::range(v, pc.pair, params_);
       const int w = static_cast<int>(
           std::min(static_cast<std::uint64_t>(r.width()), remaining));
-      if constexpr (kEmit) {
-        util::store_le(
-            dst, embed_bits_with_pattern(v, r.kn1, Window::pattern(pc), reader.read_bits(w), w),
-            static_cast<int>(bb));
-        dst += bb;
-      } else {
-        ++n_blocks;
-      }
+      util::store_le(
+          dst, embed_bits_with_pattern(v, r.kn1, Window::pattern(pc), reader.read_bits(w), w),
+          static_cast<int>(bb));
+      dst += bb;
       remaining -= static_cast<std::uint64_t>(w);
     }
   }
-  if constexpr (kEmit) return static_cast<std::uint64_t>(dst - out.data());
-  return n_blocks * bb;
+  return static_cast<std::size_t>(dst - out.data());
 }
 
 template <class Window>
@@ -209,9 +199,8 @@ template class BlockDecryptor<FixedWindow>;
 std::vector<std::uint8_t> encrypt(std::span<const std::uint8_t> msg, const Key& key,
                                   std::uint64_t seed, BlockParams params) {
   Encryptor enc(key, make_lfsr_cover(params.vector_bits, seed), params);
-  std::vector<std::uint8_t> out(
-      enc.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg.size()) * 8));
-  (void)enc.encrypt_into(msg, out);
+  std::vector<std::uint8_t> out(enc.max_cipher_bytes(static_cast<std::uint64_t>(msg.size()) * 8));
+  out.resize(enc.encrypt_into(msg, out));
   return out;
 }
 

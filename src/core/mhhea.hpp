@@ -29,6 +29,7 @@
 // one. Each instantiation has exactly one encrypt walk and one decrypt walk.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -68,6 +69,11 @@ struct ScrambledWindow {
     return scramble_range(v, pair, params);
   }
   [[nodiscard]] static std::uint64_t pattern(const detail::PairCtx& pc) { return pc.pattern; }
+  /// Narrowest uncapped width of a pair: the scrambled range is d+1 wide
+  /// without a wrap and H-d+1 wide with one (block.hpp).
+  [[nodiscard]] static constexpr int min_width(const KeyPair& pair, const BlockParams& params) {
+    return std::min(pair.span() + 1, params.half() - pair.span() + 1);
+  }
 };
 
 /// HHEA's window: message bits go verbatim into the fixed key range
@@ -81,6 +87,10 @@ struct FixedWindow {
   }
   [[nodiscard]] static constexpr std::uint64_t pattern(const detail::PairCtx& /*pc*/) {
     return 0;
+  }
+  [[nodiscard]] static constexpr int min_width(const KeyPair& pair,
+                                               const BlockParams& /*params*/) {
+    return pair.span() + 1;
   }
 };
 
@@ -104,11 +114,10 @@ class BlockEncryptor {
   /// ciphertext and std::runtime_error if the cover runs dry (bytes already
   /// written are unspecified in both cases).
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
-  /// Exact ciphertext bytes encrypt_into would produce for an `n_bits`-bit
-  /// message: the same walk with the message read, embed and store compiled
-  /// out. Costs a cover + window scan (roughly a third of a full encryption
-  /// — cheap enough to size a buffer, not free).
-  [[nodiscard]] std::uint64_t one_shot_cipher_bytes(std::uint64_t n_bits);
+  /// Closed-form upper bound on the ciphertext bytes of an `n_bits`-bit
+  /// message under any cover: what every allocating path sizes its buffer
+  /// with before encrypt_into and a shrinking resize. Allocation-free.
+  [[nodiscard]] std::uint64_t max_cipher_bytes(std::uint64_t n_bits) const;
   /// Re-seed the cover source — the per-nonce entry point of the sealed-v2
   /// session (one derived seed per message keeps the long-lived core from
   /// ever reusing cover keystream). Requires a reseedable cover
@@ -116,17 +125,12 @@ class BlockEncryptor {
   void reseed(std::uint64_t seed) { cover_->reseed(seed); }
 
  private:
-  /// The one block walk. kEmit = false drops the message read, embed and
-  /// store, leaving the size scan; both return the ciphertext bytes.
-  template <bool kEmit>
-  std::uint64_t walk(std::span<const std::uint8_t> msg, std::uint64_t n_bits,
-                     std::span<std::uint8_t> out);
-
   Key key_;
   std::unique_ptr<CoverSource> cover_;
   BlockParams params_;
   std::vector<detail::PairCtx> pair_ctx_;
   std::vector<std::uint64_t> cover_buf_;  // prefetched hiding vectors
+  std::uint64_t cycle_min_bits_ = 0;      // sum of Window::min_width over the key
 };
 
 /// One-shot decryptor core: the message length is named per call (carried

@@ -108,7 +108,7 @@ void check_arena_offsets(std::span<const std::size_t> offsets, std::size_t arena
 
 }  // namespace
 
-std::size_t encrypt_arena_layout(Cipher& sizer,
+std::size_t encrypt_arena_layout(const Cipher& sizer,
                                  std::span<const std::vector<std::uint8_t>> msgs,
                                  std::span<std::size_t> offsets) {
   if (offsets.size() != msgs.size()) {

@@ -43,18 +43,18 @@ using CipherMaker = std::function<std::unique_ptr<Cipher>()>;
 
 // ----------------------------------------------------------------------
 // Arena forms: the whole batch lands in one caller-provided buffer at
-// offsets precomputed from the cipher's size queries, each worker writing
-// its own disjoint slot — no per-message result vectors, so a server that
-// reuses the arena (and the offset/size scratch) across batches runs the
-// batch path without steady-state heap allocations beyond the worker
-// dispatch itself.
+// offsets precomputed from the cipher's max_ciphertext_size bound, each
+// worker writing its own disjoint slot — no per-message result vectors, so
+// a server that reuses the arena (and the offset/size scratch) across
+// batches runs the batch path without steady-state heap allocations beyond
+// the worker dispatch itself.
 
 /// Compute the encrypt arena layout: offsets[i] receives the byte offset of
 /// message i's slot, slots sized by `sizer.max_ciphertext_size` so the
 /// actual ciphertext always fits. Returns the total arena bytes required.
 /// Throws std::invalid_argument when offsets.size() != msgs.size().
 [[nodiscard]] std::size_t encrypt_arena_layout(
-    Cipher& sizer, std::span<const std::vector<std::uint8_t>> msgs,
+    const Cipher& sizer, std::span<const std::vector<std::uint8_t>> msgs,
     std::span<std::size_t> offsets);
 
 /// Encrypt message i into arena[offsets[i] ...); sizes[i] receives its

@@ -21,10 +21,9 @@ namespace mhhea::crypto {
 /// ciphertext bytes out, no allocation between the caller's buffers (a
 /// warmed encrypt_into/decrypt_into loop is heap-allocation-free for every
 /// built-in cipher). The vector-returning encrypt() /
-/// decrypt() are thin wrappers kept for convenience. Buffer sizing:
-/// max_ciphertext_size() is a cheap upper bound good for arenas;
-/// ciphertext_size() is exact but may cost a planning pass (a cover +
-/// scramble-width scan for MHHEA — roughly a third of an encryption).
+/// decrypt() are thin wrappers kept for convenience. Buffer sizing has one
+/// rule: size with the closed-form max_ciphertext_size() bound, write with
+/// encrypt_into, and take its return value as the exact length.
 class Cipher {
  public:
   virtual ~Cipher() = default;
@@ -32,7 +31,7 @@ class Cipher {
   /// Encrypt the whole message into `out`, returning the ciphertext bytes
   /// written. Throws std::length_error when `out` cannot hold the
   /// ciphertext (already-written contents are then unspecified) — size the
-  /// buffer with ciphertext_size()/max_ciphertext_size().
+  /// buffer with max_ciphertext_size().
   virtual std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                                    std::span<std::uint8_t> out) = 0;
   /// Decrypt `cipher` (the ciphertext of a `msg_bytes`-byte message) into
@@ -42,18 +41,13 @@ class Cipher {
   virtual std::size_t decrypt_into(std::span<const std::uint8_t> cipher,
                                    std::size_t msg_bytes,
                                    std::span<std::uint8_t> out) = 0;
-  /// Exact ciphertext bytes encrypt() would produce for an `msg_bytes`-byte
-  /// message. Closed-form for HHEA and YAEA-S; a cover-scan plan for MHHEA
-  /// (non-const so implementations may drive their reusable cores).
-  [[nodiscard]] virtual std::size_t ciphertext_size(std::size_t msg_bytes) = 0;
-  /// Cheap upper bound on ciphertext_size(msg_bytes), derived from the same
-  /// worst-case math as expansion() — what a caller sizes a reusable arena
-  /// with. Never smaller than ciphertext_size(msg_bytes).
+  /// Closed-form upper bound on the ciphertext bytes of an `msg_bytes`-byte
+  /// message, whatever the cover: the size of every buffer handed to
+  /// encrypt_into. Cheap and allocation-free.
   [[nodiscard]] virtual std::size_t max_ciphertext_size(std::size_t msg_bytes) const = 0;
   /// Encrypt the whole message. Default: a max_ciphertext_size() buffer +
-  /// encrypt_into, shrunk to the written bytes — the cheap bound instead of
-  /// the exact size, because for MHHEA ciphertext_size() costs a cover-scan
-  /// plan pass and the shrinking resize never reallocates or copies.
+  /// encrypt_into, shrunk to the written bytes (the shrinking resize never
+  /// reallocates or copies).
   [[nodiscard]] virtual std::vector<std::uint8_t> encrypt(std::span<const std::uint8_t> msg) {
     std::vector<std::uint8_t> out(max_ciphertext_size(msg.size()));
     const std::size_t n = encrypt_into(msg, out);

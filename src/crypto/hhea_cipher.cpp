@@ -9,7 +9,6 @@ namespace mhhea::crypto {
 HheaCipher::HheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params)
     : key_(std::move(key)),
       params_(params),
-      wc_(key_),
       enc_(key_, core::make_lfsr_cover(params_.vector_bits, seed), params_),
       dec_(key_, 0, params_) {
   double mean_bits = 0.0;

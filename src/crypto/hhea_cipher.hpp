@@ -11,7 +11,6 @@
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/crypto/cipher.hpp"
-#include "src/crypto/hhea.hpp"
 
 namespace mhhea::crypto {
 
@@ -29,18 +28,12 @@ class HheaCipher final : public Cipher {
                            std::span<std::uint8_t> out) override;
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
-  /// Exact and cover-free: HHEA block widths are fixed by the key alone
-  /// (hhea_cipher_bytes), so the exact size doubles as the upper bound.
-  /// Runs over the width cycle cached at construction — no per-call
-  /// allocation (pinned by a counting test), just closed-form arithmetic
-  /// (plus an O(blocks) walk under framed params).
-  [[nodiscard]] std::size_t ciphertext_size(std::size_t msg_bytes) override {
-    return static_cast<std::size_t>(
-        hhea_cipher_bytes(wc_, static_cast<std::uint64_t>(msg_bytes) * 8, params_));
-  }
+  /// The engine's closed-form bound under the fixed window (each uncapped
+  /// block carries exactly span+1 bits); continuous params exceed the
+  /// exact size by at most L blocks.
   [[nodiscard]] std::size_t max_ciphertext_size(std::size_t msg_bytes) const override {
     return static_cast<std::size_t>(
-        hhea_cipher_bytes(wc_, static_cast<std::uint64_t>(msg_bytes) * 8, params_));
+        enc_.max_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8));
   }
   /// HHEA embeds exactly span+1 bits per block, so the expansion is the
   /// closed form vector_bits / mean(span_i + 1) — no scramble averaging.
@@ -52,7 +45,6 @@ class HheaCipher final : public Cipher {
  private:
   core::Key key_;
   core::BlockParams params_;
-  detail::WidthCycle wc_;  // key's width cycle, built once for size queries
   // The one block engine under HHEA's fixed window: reusable cores, rewound
   // per call.
   core::BlockEncryptor<core::FixedWindow> enc_;

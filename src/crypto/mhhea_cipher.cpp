@@ -11,25 +11,6 @@
 
 namespace mhhea::crypto {
 
-namespace {
-
-/// Worst-case uncapped embed width of a pair: the scrambled range is d+1
-/// wide without a wrap and H-d+1 wide with one (block.hpp), so every block
-/// of this pair carries at least the smaller of the two when no frame or
-/// message-end cap applies.
-std::uint64_t min_pair_width(const core::KeyPair& pair, const core::BlockParams& params) {
-  const int d = pair.span();
-  return static_cast<std::uint64_t>(std::min(d + 1, params.half() - d + 1));
-}
-
-std::uint64_t cycle_min_bits(const core::Key& key, const core::BlockParams& params) {
-  std::uint64_t sum = 0;
-  for (const core::KeyPair& p : key.pairs()) sum += min_pair_width(p, params);
-  return sum;
-}
-
-}  // namespace
-
 MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params,
                          Framing framing)
     : MhheaCipher(std::move(key), seed,
@@ -61,8 +42,7 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
                                                           : seed),
            params_),
       dec_(key_, 0, params_),
-      expansion_(core::expected_expansion(key_, params_)),
-      cycle_min_bits_(cycle_min_bits(key_, params_)) {}
+      expansion_(core::expected_expansion(key_, params_)) {}
 
 namespace {
 /// Messages below this never attempt compression: the envelope's tag +
@@ -208,33 +188,12 @@ std::size_t MhheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
   return dec_.decrypt_into(payload, message_bits, out);
 }
 
-std::size_t MhheaCipher::ciphertext_size(std::size_t msg_bytes) {
-  if (framing_ == Framing::sealed_v2) return sealed_v2_size(msg_bytes, 0);
-  const std::size_t raw = static_cast<std::size_t>(
-      enc_.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8));
-  return raw + (framing_ == Framing::sealed ? core::FrameHeader::kSize : 0);
-}
-
 std::size_t MhheaCipher::max_ciphertext_size(std::size_t msg_bytes) const {
-  const auto bits = static_cast<std::uint64_t>(msg_bytes) * 8;
-  const auto L = static_cast<std::uint64_t>(key_.size());
-  // Any L consecutive uncapped blocks embed at least cycle_min_bits_ bits,
-  // and only caps (the message end, or one block per frame boundary) break
-  // that — both covered by the trailing +L per capped region.
-  std::uint64_t blocks = 0;
-  if (bits > 0) {
-    if (params_.policy == core::FramePolicy::framed) {
-      const auto vb = static_cast<std::uint64_t>(params_.vector_bits);
-      const std::uint64_t frames = (bits + vb - 1) / vb;
-      blocks = frames * (vb / cycle_min_bits_ * L + L);
-    } else {
-      blocks = bits / cycle_min_bits_ * L + L;
-    }
-  }
   std::size_t overhead = 0;
   if (framing_ == Framing::sealed) overhead = core::FrameHeader::kSize;
   if (framing_ == Framing::sealed_v2) overhead = core::FrameHeader::kOverheadV2;
-  return static_cast<std::size_t>(blocks) * static_cast<std::size_t>(params_.block_bytes()) +
+  return static_cast<std::size_t>(
+             enc_.max_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8)) +
          overhead;
 }
 
@@ -265,16 +224,6 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   const MacTag tag = siphash128(sched_.mac_key, out.first(authed));
   std::copy(tag.begin(), tag.end(), out.begin() + static_cast<std::ptrdiff_t>(authed));
   return authed + core::FrameHeader::kMacBytesV2;
-}
-
-std::size_t MhheaCipher::sealed_v2_size(std::size_t msg_bytes, std::uint64_t nonce) {
-  require_v2("sealed_v2_size");
-  // Ciphertext length depends on cover content, so the scan must run under
-  // the queried nonce's derived seed.
-  set_nonce(nonce);
-  return static_cast<std::size_t>(
-             enc_.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8)) +
-         core::FrameHeader::kOverheadV2;
 }
 
 MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(

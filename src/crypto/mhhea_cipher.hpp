@@ -100,11 +100,9 @@ class MhheaCipher final : public Cipher {
   /// any tampered bit, so garbage plaintext is never produced.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
-  /// Exact, via a cover + scramble-width scan (~a third of an encryption);
-  /// includes the constant container overhead in the sealed framings.
-  [[nodiscard]] std::size_t ciphertext_size(std::size_t msg_bytes) override;
-  /// Cheap closed-form worst case from the key's per-pair minimum scramble
-  /// widths (each pair embeds at least min(d+1, H-d+1) bits when uncapped).
+  /// Closed-form worst case: the engine's bound (Encryptor::max_cipher_bytes,
+  /// from each pair's minimum scramble width min(d+1, H-d+1)) plus the
+  /// constant container overhead of the sealed framings.
   [[nodiscard]] std::size_t max_ciphertext_size(std::size_t msg_bytes) const override;
   /// Analytical expected expansion for this key (src/core/analysis.hpp);
   /// excludes the constant container overhead in the sealed framings.
@@ -129,11 +127,6 @@ class MhheaCipher final : public Cipher {
   /// keystream. Zero heap allocations once warmed.
   std::size_t seal_v2_into(std::span<const std::uint8_t> msg, std::uint64_t nonce,
                            std::span<std::uint8_t> out);
-  /// Container bytes seal_v2_into would produce (nonce-independent: the
-  /// ciphertext length depends on cover content, so this re-seeds for the
-  /// queried nonce and scans).
-  [[nodiscard]] std::size_t sealed_v2_size(std::size_t msg_bytes, std::uint64_t nonce);
-
   /// The authenticated-but-not-yet-decrypted view of a v2 container.
   struct V2Opened {
     core::FrameHeader header;
@@ -194,8 +187,8 @@ class MhheaCipher final : public Cipher {
   /// The uncompressed block-decrypt half of decrypt_v2_payload.
   std::size_t decrypt_v2_blocks(const V2Opened& opened, std::span<std::uint8_t> out);
   /// Point the encryptor core at `nonce`'s derived cover seed. No-op when
-  /// already there — consecutive same-nonce calls (size query then seal)
-  /// pay one derivation, zero reseeds.
+  /// already there — repeated seals under one nonce (every encrypt_into
+  /// runs under nonce 0) skip the derivation and the reseed.
   void set_nonce(std::uint64_t nonce);
   void require_v2(const char* what) const;
 
@@ -217,7 +210,6 @@ class MhheaCipher final : public Cipher {
   std::vector<std::uint8_t> z_seal_buf_;
   std::vector<std::uint8_t> z_open_buf_;
   double expansion_;
-  std::uint64_t cycle_min_bits_;  // sum of per-pair minimum widths (for the bound)
 };
 
 }  // namespace mhhea::crypto

@@ -66,11 +66,8 @@ void Session::skip_to_nonce(std::uint64_t nonce) {
 }
 
 std::vector<std::uint8_t> Session::seal(std::span<const std::uint8_t> msg) {
-  require_nonce_available();
-  std::vector<std::uint8_t> out(cipher_.sealed_v2_size(msg.size(), next_nonce_));
-  const std::size_t n = cipher_.seal_v2_into(msg, next_nonce_, out);
-  out.resize(n);
-  ++next_nonce_;
+  std::vector<std::uint8_t> out(max_sealed_size(msg.size()));
+  out.resize(seal_into(msg, out));
   return out;
 }
 

@@ -134,9 +134,6 @@ class Yaea final : public Cipher {
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
   /// Exact: a stream cipher's ciphertext is its plaintext's size.
-  [[nodiscard]] std::size_t ciphertext_size(std::size_t msg_bytes) override {
-    return msg_bytes;
-  }
   [[nodiscard]] std::size_t max_ciphertext_size(std::size_t msg_bytes) const override {
     return msg_bytes;
   }

@@ -40,14 +40,6 @@ namespace mhhea::util {
   return (v >> lo) & mask64(hi - lo + 1);
 }
 
-/// `v` with the field `[hi..lo]` replaced by the low bits of `field`.
-[[nodiscard]] constexpr std::uint64_t deposit(std::uint64_t v, int hi, int lo,
-                                              std::uint64_t field) noexcept {
-  assert(lo >= 0 && hi >= lo && hi < 64);
-  const std::uint64_t m = mask64(hi - lo + 1) << lo;
-  return (v & ~m) | ((field << lo) & m);
-}
-
 /// Rotate the low `width` bits of `v` left by `n` (mod width). Bits above
 /// `width` must be zero and stay zero.
 [[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t v, int n, int width) noexcept {

@@ -157,9 +157,10 @@ void test_v2_tag_verify() {
 
   const std::vector<std::uint8_t> msg(48, 0x5c);
   const std::uint64_t nonce = 7;
-  std::vector<std::uint8_t> sealed(cipher.sealed_v2_size(msg.size(), nonce));
+  std::vector<std::uint8_t> sealed(cipher.max_ciphertext_size(msg.size()));
   const std::size_t n = cipher.seal_v2_into(msg, nonce, sealed);
-  check(n == sealed.size(), "seal_v2_into fills the predicted container size");
+  check(n > 0 && n <= sealed.size(), "seal_v2_into fits the bound-sized buffer");
+  sealed.resize(n);
 
   // Genuine container: the constant-time verify must accept, having branched
   // only on the declassified verdict.

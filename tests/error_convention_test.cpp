@@ -90,9 +90,12 @@ TEST(ErrorConvention, RegistrySweepEncryptAndDecryptInto) {
     SCOPED_TRACE(name);
     auto cipher = reg.make(name, /*seed=*/0xfeedfaceULL);
 
-    const std::size_t need = cipher->ciphertext_size(msg.size());
-    std::vector<std::uint8_t> ct(need);
-    ASSERT_EQ(cipher->encrypt_into(msg, ct), need) << "control encryption failed";
+    // The exact size is what a control encrypt_into reports into a
+    // bound-sized buffer; an exact-fit buffer must then succeed too.
+    std::vector<std::uint8_t> ct(cipher->max_ciphertext_size(msg.size()));
+    const std::size_t need = cipher->encrypt_into(msg, ct);
+    ct.resize(need);
+    ASSERT_EQ(cipher->encrypt_into(msg, ct), need) << "exact-fit encryption failed";
 
     // Short output buffer, encrypt side.
     expect_length_error(
@@ -134,16 +137,18 @@ class SealedV2Errors : public ::testing::Test {
   std::vector<std::uint8_t> msg_ = test_message(64);
   std::uint64_t nonce_ = 9;
 
+  // A control seal into a bound-sized buffer, shrunk to the container.
   std::vector<std::uint8_t> seal() {
-    std::vector<std::uint8_t> out(cipher_.sealed_v2_size(msg_.size(), nonce_));
-    EXPECT_EQ(cipher_.seal_v2_into(msg_, nonce_, out), out.size());
+    std::vector<std::uint8_t> out(cipher_.max_ciphertext_size(msg_.size()));
+    out.resize(cipher_.seal_v2_into(msg_, nonce_, out));
     return out;
   }
 };
 
 TEST_F(SealedV2Errors, SealIntoShortBuffer) {
-  const std::size_t need = cipher_.sealed_v2_size(msg_.size(), nonce_);
-  std::vector<std::uint8_t> out(need - 1);
+  std::vector<std::uint8_t> out(seal().size());
+  EXPECT_EQ(cipher_.seal_v2_into(msg_, nonce_, out), out.size()) << "exact fit";
+  out.pop_back();
   expect_length_error([&] { (void)cipher_.seal_v2_into(msg_, nonce_, out); },
                       "seal_v2_into short out");
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/compress/compress.hpp"
 #include "src/core/frame.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
@@ -25,6 +26,19 @@ std::vector<std::uint8_t> random_message(util::Xoshiro256& rng, std::size_t n) {
   std::vector<std::uint8_t> msg(n);
   for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
   return msg;
+}
+
+/// Log lines: compressible, so the lzss and huffman pre-stages engage.
+std::vector<std::uint8_t> log_text(util::Xoshiro256& rng, std::size_t n) {
+  std::vector<std::uint8_t> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const std::string line = "level=INFO msg=\"request sealed\" conn=" +
+                             std::to_string(rng.below(1024)) + " status=ok\n";
+    out.insert(out.end(), line.begin(), line.end());
+  }
+  out.resize(n);
+  return out;
 }
 
 const std::vector<std::uint8_t> kMaster = bytes_of("a long-lived session master secret");
@@ -142,6 +156,34 @@ TEST(Session, SealIntoOpenIntoSpanForms) {
   std::vector<std::uint8_t> tiny(8);
   EXPECT_THROW((void)sealer.seal_into(msg, tiny), std::length_error);
   EXPECT_EQ(sealer.next_nonce(), before);
+}
+
+// seal() is a max_sealed_size() buffer, seal_into and a shrinking resize:
+// byte-identical to seal_into at the same nonce under every compression
+// method, with the counter advancing in step.
+TEST(Session, SealMatchesSealIntoAtTheSameNonce) {
+  for (const compress::Method method :
+       {compress::Method::raw, compress::Method::lzss, compress::Method::huffman}) {
+    const int tag = static_cast<int>(method);
+    Session alloc = make_pair_session();
+    Session into = make_pair_session();
+    alloc.set_compression(method);
+    into.set_compression(method);
+    util::Xoshiro256 rng(0x5EA1);
+    for (const std::size_t len : {0u, 1u, 95u, 96u, 300u, 16384u}) {
+      const auto msg = log_text(rng, len);
+      const auto sealed = alloc.seal(msg);
+      std::vector<std::uint8_t> buf(into.max_sealed_size(len));
+      buf.resize(into.seal_into(msg, buf));
+      EXPECT_EQ(sealed, buf) << "method " << tag << " len " << len;
+      EXPECT_EQ(alloc.next_nonce(), into.next_nonce()) << "method " << tag << " len " << len;
+      if (len == 16384) {
+        // The compressed path is exercised, not just the fallback.
+        EXPECT_EQ(core::frame_decode(sealed, nullptr).compression, tag) << "len " << len;
+      }
+    }
+    EXPECT_EQ(alloc.next_nonce(), 6u) << "method " << tag;
+  }
 }
 
 TEST(Session, RejectsReplayedNonce) {

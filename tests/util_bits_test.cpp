@@ -38,16 +38,6 @@ TEST(Bits, ExtractMatchesPaperScrambleField) {
   EXPECT_EQ(extract(~0ull, 63, 63), 1u);
 }
 
-TEST(Bits, DepositInverseOfExtract) {
-  const std::uint64_t v = 0x123456789ABCDEFull;
-  for (int lo = 0; lo < 60; lo += 7) {
-    const int hi = lo + 4;
-    const std::uint64_t f = extract(v, hi, lo);
-    EXPECT_EQ(deposit(v, hi, lo, f), v);
-    EXPECT_EQ(extract(deposit(v, hi, lo, 0b10101), hi, lo), 0b10101u);
-  }
-}
-
 TEST(Bits, RotationMatchesFig8WorkedExample) {
   // "rotating the message twice to the left renders the message value equal
   //  to 2341 after being 48D0"
