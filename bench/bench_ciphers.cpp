@@ -1,37 +1,31 @@
 // Benchmark harness: sweep every registry cipher across message sizes,
-// thread counts, both directions and both API forms, and emit
+// both directions and both API forms on one thread, and emit
 // BENCH_ciphers.json — the repo's reproduction of the paper's Table 1
-// throughput comparison, plus the batch-scaling axis the ROADMAP's "as fast
-// as the hardware allows" goal needs a baseline for.
+// throughput comparison.
 //
 // Method: for each (cipher, msg_bytes, column) cell, process a batch of
 // independent messages (total plaintext ~ kTargetBatchBytes) repeatedly;
 // each repetition is one RunningStats sample of MB/s (plaintext MB/s for
 // both directions, so encrypt and decrypt rows are directly comparable).
-// Sequential columns measure four cells each — dir in {encrypt, decrypt} x
+// The random corpus measures four cells — dir in {encrypt, decrypt} x
 // api in {alloc, into} — so the allocating-vs-in-place overhead and the
-// decrypt datapath are both visible; the thread column sweeps encrypt/alloc
-// only. The JSON records mean/max/stddev throughput, the
-// measured expansion factor, and the per-block latency. A decrypt
-// round-trip of the first message guards against benchmarking a broken
-// configuration.
+// decrypt datapath are both visible. The JSON records mean/max/stddev
+// throughput, the measured expansion factor, and the per-block latency. A
+// decrypt round-trip of the first message guards against benchmarking a
+// broken configuration.
 //
 // Two payload corpora run per cipher: `random` (incompressible, the
 // historical sweep) over every column, and `text` (deterministic synthetic
-// log lines) over the sequential encrypt/decrypt cells — the compressible
+// log lines) over the encrypt/decrypt alloc cells — the compressible
 // shape that feeds the per-corpus "expansion" and
 // "effective_wire_mb_per_s" aggregates separating MHHEA-sealed-v2-z's
 // compress-then-encrypt pipeline from its uncompressed twin.
 //
-// Usage: bench_ciphers [--out FILE] [--quick] [--reps N] [--threads N]
-//                      [--seed S] [--backend auto|scalar|avx2]
+// Usage: bench_ciphers [--out FILE] [--quick] [--reps N] [--seed S]
+//                      [--backend auto|scalar|avx2]
 //   --reps N     repetitions per cell (default 9, or 2 with --quick; the
 //                bench_smoke ctest runs --reps 1 so harness breakage fails
 //                CI instead of only the artifact step)
-//   --threads N  multi-thread column to sweep alongside 1 (default: hardware
-//                concurrency; the sweep is {1} only on a single-core host —
-//                oversubscribing one core measures scheduler noise, not the
-//                cipher)
 //   --seed S     registry key/nonce derivation seed (decimal or 0x hex), for
 //                reproducible runs
 //   --backend B  force the keystream engine for the whole run (default
@@ -58,7 +52,6 @@
 #include <vector>
 
 #include "src/backend/backend.hpp"
-#include "src/crypto/batch.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
@@ -87,10 +80,8 @@ const char* dir_name(Dir d) { return d == Dir::encrypt ? "encrypt" : "decrypt"; 
 const char* api_name(Api a) { return a == Api::alloc ? "alloc" : "into"; }
 const char* corpus_name(Corpus c) { return c == Corpus::random ? "random" : "text"; }
 
-/// One sweep column: how many batch workers, the direction and the API
-/// form. dir/api variants run on the sequential column.
+/// One sweep column: the direction and the API form.
 struct SweepColumn {
-  int threads = 1;
   Dir dir = Dir::encrypt;
   Api api = Api::alloc;
 };
@@ -98,7 +89,6 @@ struct SweepColumn {
 struct CellResult {
   std::string cipher;
   std::size_t msg_bytes = 0;
-  int threads = 0;
   Dir dir = Dir::encrypt;
   Api api = Api::alloc;
   Corpus corpus = Corpus::random;
@@ -116,7 +106,6 @@ void cell_fill(CellResult& cell, const std::string& name, std::size_t msg_bytes,
                std::size_t reps) {
   cell.cipher = name;
   cell.msg_bytes = msg_bytes;
-  cell.threads = col.threads;
   cell.dir = col.dir;
   cell.api = col.api;
   cell.corpus = corpus;
@@ -159,15 +148,10 @@ std::vector<std::vector<std::uint8_t>> make_messages(std::size_t msg_bytes,
 std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes,
                                   const std::vector<SweepColumn>& columns,
                                   Corpus corpus, std::size_t reps) {
-  int max_threads = 1;
-  for (const SweepColumn& c : columns) max_threads = std::max(max_threads, c.threads);
   const std::size_t batch_size =
-      std::max<std::size_t>(kTargetBatchBytes / std::max<std::size_t>(msg_bytes, 1),
-                            static_cast<std::size_t>(max_threads) * 4);
+      std::max<std::size_t>(kTargetBatchBytes / std::max<std::size_t>(msg_bytes, 1), 1);
   const auto msgs = make_messages(msg_bytes, batch_size, corpus);
-  const mhhea::crypto::CipherMaker maker = [&] {
-    return CipherRegistry::builtin().make(name, g_cipher_seed);
-  };
+  const auto maker = [&] { return CipherRegistry::builtin().make(name, g_cipher_seed); };
 
   // Correctness guard + warm-up: round-trip the first message once (through
   // both API forms) before timing it.
@@ -188,15 +172,14 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
   std::vector<CellResult> cells(columns.size());
   std::vector<mhhea::util::RunningStats> mbps(columns.size());
   std::vector<mhhea::util::RunningStats> nspb(columns.size());
-  // Pre-built cipher per threads=1 column, so cipher construction stays
-  // outside the timed window. Multi-thread columns go through encrypt_batch,
-  // which necessarily constructs its per-worker ciphers inside the window.
+  // Pre-built cipher per column, so cipher construction stays outside the
+  // timed window.
   std::vector<std::unique_ptr<mhhea::crypto::Cipher>> col_cipher(columns.size());
   bool wants_decrypt = false;
   bool wants_into = false;
   for (std::size_t t = 0; t < columns.size(); ++t) {
     cell_fill(cells[t], name, msg_bytes, columns[t], corpus, batch_size, reps);
-    if (columns[t].threads == 1) col_cipher[t] = maker();
+    col_cipher[t] = maker();
     wants_decrypt = wants_decrypt || columns[t].dir == Dir::decrypt;
     wants_into = wants_into || columns[t].api == Api::into;
   }
@@ -231,14 +214,7 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
       std::size_t cipher_bytes_total = 0;
       const auto t0 = Clock::now();
       if (col.dir == Dir::encrypt && col.api == Api::alloc) {
-        if (col.threads == 1) {
-          // Same work as encrypt_batch at one thread, minus the construction.
-          for (const auto& m : msgs) cipher_bytes_total += cipher->encrypt(m).size();
-        } else {
-          for (const auto& ct : mhhea::crypto::encrypt_batch(maker, msgs, col.threads)) {
-            cipher_bytes_total += ct.size();
-          }
-        }
+        for (const auto& m : msgs) cipher_bytes_total += cipher->encrypt(m).size();
       } else if (col.dir == Dir::encrypt) {
         // One reusable output buffer — the discipline a zero-allocation
         // caller (network send buffer, arena slot) actually runs with.
@@ -295,14 +271,13 @@ std::string json_escape(const std::string& s) {
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                int max_threads, std::size_t reps) {
+                std::size_t reps) {
   std::ostringstream os;
   os.precision(6);
   os << "{\n";
   os << "  \"bench\": \"ciphers\",\n";
   os << "  \"seed\": " << g_cipher_seed << ",\n";
   os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n";
-  os << "  \"max_threads\": " << max_threads << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   // Host capabilities: which keystream engine produced these numbers and
   // what the silicon could have run, so artifacts from different runners
@@ -312,38 +287,13 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
      << (mhhea::backend::cpu_has_avx2() ? "true" : "false") << ", \"avx2_compiled\": "
      << (mhhea::backend::avx2_compiled() ? "true" : "false")
      << ", \"hardware_concurrency\": " << std::thread::hardware_concurrency() << "},\n";
-  // Aggregate batch scaling per cipher: total best-rep throughput across
-  // message sizes at max_threads over the same at one thread. When the
-  // thread sweep clamped to a single column (1-core
-  // host), each cipher reports the exact single-thread ratio 1.0 and the
-  // sibling "batch_speedup_clamped" flag is true — downstream tooling gets
-  // every cipher key on every host instead of a silently empty object.
-  os << "  \"batch_speedup\": {";
-  {
-    std::map<std::string, std::array<double, 2>> sums;
-    for (const auto& c : cells) {
-      if (c.dir != Dir::encrypt || c.api != Api::alloc || c.corpus != Corpus::random) continue;
-      sums[c.cipher][c.threads == 1 ? 0 : 1] += c.mb_per_s_max;
-    }
-    bool first = true;
-    for (const auto& [name, s] : sums) {
-      const double ratio =
-          max_threads > 1 ? (s[0] > 0.0 ? s[1] / s[0] : 0.0) : 1.0;
-      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << ratio;
-      first = false;
-    }
-  }
-  os << "},\n";
-  os << "  \"batch_speedup_clamped\": " << (max_threads > 1 ? "false" : "true")
-     << ",\n";
-  // Per-cipher decrypt throughput (sequential alloc column, mean across
-  // sizes): the decrypt counterpart of the headline encrypt rows.
+  // Per-cipher decrypt throughput (alloc column, mean across sizes): the
+  // decrypt counterpart of the headline encrypt rows.
   os << "  \"decrypt_mb_per_s\": {";
   {
     std::map<std::string, std::array<double, 2>> sums;  // {total, count}
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.dir == Dir::decrypt &&
-          c.api == Api::alloc && c.corpus == Corpus::random) {
+      if (c.dir == Dir::decrypt && c.api == Api::alloc && c.corpus == Corpus::random) {
         sums[c.cipher][0] += c.mb_per_s_mean;
         sums[c.cipher][1] += 1.0;
       }
@@ -356,14 +306,13 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     }
   }
   os << "},\n";
-  // In-place over allocating encrypt throughput (sequential column, best-rep
-  // totals across sizes): what the span-based API buys over the vector one.
+  // In-place over allocating encrypt throughput (best-rep totals across
+  // sizes): what the span-based API buys over the vector one.
   os << "  \"into_speedup\": {";
   {
     std::map<std::string, std::array<double, 2>> sums;  // {alloc, into}
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.dir == Dir::encrypt &&
-          c.corpus == Corpus::random) {
+      if (c.dir == Dir::encrypt && c.corpus == Corpus::random) {
         sums[c.cipher][c.api == Api::alloc ? 0 : 1] += c.mb_per_s_max;
       }
     }
@@ -383,8 +332,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   {
     std::map<std::string, double> sums;  // cipher -> total best-rep MB/s
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.dir == Dir::encrypt &&
-          c.corpus == Corpus::random) {
+      if (c.dir == Dir::encrypt && c.corpus == Corpus::random) {
         sums[c.cipher] += c.mb_per_s_max;
       }
     }
@@ -408,8 +356,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     // cipher -> corpus index {random, text} -> {sum, count}
     std::map<std::string, std::array<std::array<double, 2>, 2>> sums;
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.dir == Dir::encrypt &&
-          c.api == Api::alloc) {
+      if (c.dir == Dir::encrypt && c.api == Api::alloc) {
         auto& slot = sums[c.cipher][c.corpus == Corpus::random ? 0 : 1];
         slot[0] += c.expansion;
         slot[1] += 1.0;
@@ -430,8 +377,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     // cipher -> corpus index -> {sum of mbps*expansion, count}
     std::map<std::string, std::array<std::array<double, 2>, 2>> sums;
     for (const auto& c : cells) {
-      if (c.threads == 1 && c.dir == Dir::encrypt &&
-          c.api == Api::alloc) {
+      if (c.dir == Dir::encrypt && c.api == Api::alloc) {
         auto& slot = sums[c.cipher][c.corpus == Corpus::random ? 0 : 1];
         slot[0] += c.mb_per_s_mean * c.expansion;
         slot[1] += 1.0;
@@ -452,7 +398,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     const auto& c = cells[i];
     os << "    {\"cipher\": \"" << json_escape(c.cipher) << "\", \"backend\": \""
        << backend_name << "\", \"msg_bytes\": "
-       << c.msg_bytes << ", \"threads\": " << c.threads << ", \"dir\": \""
+       << c.msg_bytes << ", \"dir\": \""
        << dir_name(c.dir) << "\", \"api\": \"" << api_name(c.api)
        << "\", \"corpus\": \""<< corpus_name(c.corpus) << "\", \"batch_size\": "
        << c.batch_size << ", \"reps\": " << c.reps << ", \"mb_per_s_mean\": "
@@ -472,7 +418,6 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
 int main(int argc, char** argv) try {
   std::string out_path = "BENCH_ciphers.json";
   bool quick = false;
-  int threads_flag = 0;    // 0 = derive from hardware
   std::size_t reps_flag = 0;  // 0 = derive from --quick
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -486,13 +431,6 @@ int main(int argc, char** argv) try {
         return 2;
       }
       reps_flag = static_cast<std::size_t>(v);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      std::uint64_t v = 0;
-      if (!parse_u64(argv[++i], &v) || v < 1 || v > 1024) {
-        std::cerr << "bench_ciphers: --threads must be an integer in [1, 1024]\n";
-        return 2;
-      }
-      threads_flag = static_cast<int>(v);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       if (!parse_u64(argv[++i], &g_cipher_seed) || g_cipher_seed == 0) {
         std::cerr << "bench_ciphers: --seed must be a non-zero 64-bit integer\n";
@@ -509,34 +447,23 @@ int main(int argc, char** argv) try {
       }
     } else {
       std::cerr << "usage: bench_ciphers [--out FILE] [--quick] [--reps N] "
-                   "[--threads N] [--seed S] "
-                   "[--backend auto|scalar|avx2]\n";
+                   "[--seed S] [--backend auto|scalar|avx2]\n";
       return 2;
     }
   }
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  // The multi-thread column, clamped to real parallelism: oversubscribing a
-  // single-core host only measures scheduler noise (the seed run recorded a
-  // meaningless ~0.99 "speedup" for threads=2 on 1 core). --threads
-  // overrides the clamp for deliberate oversubscription experiments.
-  const int max_threads =
-      threads_flag > 0 ? threads_flag : static_cast<int>(hw > 0 ? hw : 1);
-  // The sequential column measures all four dir x api cells; the thread
-  // column measures encrypt/alloc (the batch server shape).
-  std::vector<SweepColumn> columns = {{1, Dir::encrypt, Api::alloc},
-                                      {1, Dir::encrypt, Api::into},
-                                      {1, Dir::decrypt, Api::alloc},
-                                      {1, Dir::decrypt, Api::into}};
-  if (max_threads > 1) columns.push_back({max_threads, Dir::encrypt, Api::alloc});
+  // The random corpus measures all four dir x api cells.
+  const std::vector<SweepColumn> columns = {{Dir::encrypt, Api::alloc},
+                                            {Dir::encrypt, Api::into},
+                                            {Dir::decrypt, Api::alloc},
+                                            {Dir::decrypt, Api::into}};
   const std::vector<std::size_t> sizes = {64, 1024, 16384};
   const std::size_t reps = reps_flag > 0 ? reps_flag : (quick ? 2 : 9);
 
-  // The text corpus sweeps the sequential encrypt/decrypt alloc cells only:
-  // its purpose is the wire-expansion and effective-wire-throughput
-  // aggregates, not a second copy of the thread scaling axis.
-  const std::vector<SweepColumn> text_columns = {{1, Dir::encrypt, Api::alloc},
-                                                 {1, Dir::decrypt, Api::alloc}};
+  // The text corpus sweeps the encrypt/decrypt alloc cells only: its
+  // purpose is the wire-expansion and effective-wire-throughput aggregates.
+  const std::vector<SweepColumn> text_columns = {{Dir::encrypt, Api::alloc},
+                                                 {Dir::decrypt, Api::alloc}};
 
   std::vector<CellResult> cells;
   for (const auto& name : CipherRegistry::builtin().names()) {
@@ -544,8 +471,7 @@ int main(int argc, char** argv) try {
       const auto& cols = corpus == Corpus::random ? columns : text_columns;
       for (std::size_t msg_bytes : sizes) {
         for (auto& cell : run_cells(name, msg_bytes, cols, corpus, reps)) {
-          std::cout << cell.cipher << " msg=" << cell.msg_bytes << "B threads="
-                    << cell.threads << " "
+          std::cout << cell.cipher << " msg=" << cell.msg_bytes << "B "
                     << dir_name(cell.dir) << "/" << api_name(cell.api) << " corpus="
                     << corpus_name(cell.corpus) << " batch="
                     << cell.batch_size << ": "
@@ -558,7 +484,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  write_json(out_path, cells, max_threads, reps);
+  write_json(out_path, cells, reps);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 } catch (const std::exception& e) {

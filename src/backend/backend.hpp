@@ -17,9 +17,8 @@
 //
 // Call sites routed through the seam: Lfsr::next_blocks (hiding-vector
 // blocks; LfsrCover::next_blocks and the MHHEA cover refill ride on it),
-// GeffeKeystream::next_bytes / xor_bytes (the YAEA-S datapath, which the
-// batch-arena forms feed per worker), and Lfsr::step_bits'
-// whole-degree runs (via next_block's leap tables).
+// GeffeKeystream::next_bytes / xor_bytes (the YAEA-S datapath), and
+// Lfsr::step_bits' whole-degree runs (via next_block's leap tables).
 //
 // Engine selection happens once, at first use: cpuid picks the widest
 // supported engine, and the MHHEA_BACKEND environment variable

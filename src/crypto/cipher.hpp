@@ -15,7 +15,8 @@ namespace mhhea::crypto {
 /// their construction parameters (key + nonce), which is what the benches
 /// and equivalence tests need. Implementations may keep reusable internal
 /// engine state across calls (resettable cores), so an instance must not be
-/// shared between threads — the batch API builds one cipher per worker.
+/// shared between threads — build one instance per thread (equal registry
+/// seeds give interchangeable instances).
 ///
 /// The span-based `_into` calls are the primary datapath: message bytes in,
 /// ciphertext bytes out, no allocation between the caller's buffers (a

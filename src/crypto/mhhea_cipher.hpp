@@ -9,8 +9,7 @@
 // chunk) is paid once. Calls remain deterministic and independent: the
 // cover source is rewound on every call, so encrypt() is a pure function
 // of the configuration and the message. The reusable core makes calls
-// STATEFUL internally — share one instance per thread (the batch API
-// already builds one cipher per worker).
+// STATEFUL internally — give each thread its own instance.
 //
 // Framing::sealed wraps every ciphertext in the self-describing
 // core::seal/open container (frame.hpp): a 16-byte header carrying params

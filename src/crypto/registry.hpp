@@ -23,7 +23,8 @@ namespace mhhea::crypto {
 /// Builds a deterministic cipher instance from a 64-bit seed. The same seed
 /// must always yield the same cipher configuration (keys, nonces), so two
 /// instances made with equal seeds are interchangeable — the property the
-/// batch-vs-sequential equivalence tests and the bench harness depend on.
+/// concurrent-vs-sequential equivalence tests and the bench harness depend
+/// on.
 using CipherFactory = std::function<std::unique_ptr<Cipher>(std::uint64_t seed)>;
 
 class CipherRegistry {

@@ -88,6 +88,20 @@ Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
         "request_timeout_ms >= 1");
   }
 
+  // A throwing constructor never runs the destructor, so every failure from
+  // here on closes the fds opened so far and removes a socket file it bound
+  // before reporting errno.
+  bool bound_uds = false;
+  const auto fail = [&](const char* what) {
+    const int err = errno;
+    for (const int fd : {listen_fd_, epoll_fd_, wake_fd_}) {
+      if (fd >= 0) ::close(fd);
+    }
+    if (bound_uds) ::unlink(cfg_.uds_path.c_str());
+    errno = err;
+    throw_errno(what);
+  };
+
   if (!cfg_.uds_path.empty()) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -96,15 +110,15 @@ Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
     }
     std::memcpy(addr.sun_path, cfg_.uds_path.c_str(), cfg_.uds_path.size() + 1);
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw_errno("socket(AF_UNIX)");
+    if (listen_fd_ < 0) fail("socket(AF_UNIX)");
     ::unlink(cfg_.uds_path.c_str());  // stale socket from a previous run
     if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-      ::close(listen_fd_);
-      throw_errno("bind(AF_UNIX)");
+      fail("bind(AF_UNIX)");
     }
+    bound_uds = true;
   } else {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw_errno("socket(AF_INET)");
+    if (listen_fd_ < 0) fail("socket(AF_INET)");
     const int one = 1;
     (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
@@ -112,40 +126,28 @@ Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(cfg_.tcp_port);
     if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-      ::close(listen_fd_);
-      throw_errno("bind(AF_INET)");
+      fail("bind(AF_INET)");
     }
     sockaddr_in bound{};
     socklen_t blen = sizeof(bound);
     if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen) < 0) {
-      ::close(listen_fd_);
-      throw_errno("getsockname");
+      fail("getsockname");
     }
     port_ = ntohs(bound.sin_port);
   }
-  if (::listen(listen_fd_, 128) < 0) {
-    ::close(listen_fd_);
-    throw_errno("listen");
-  }
+  if (::listen(listen_fd_, 128) < 0) fail("listen");
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    ::close(listen_fd_);
-    throw_errno("epoll_create1");
-  }
+  if (epoll_fd_ < 0) fail("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) {
-    ::close(listen_fd_);
-    ::close(epoll_fd_);
-    throw_errno("eventfd");
-  }
+  if (wake_fd_ < 0) fail("eventfd");
 
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) throw_errno("epoll_ctl(listen)");
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) fail("epoll_ctl(listen)");
   ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) throw_errno("epoll_ctl(wake)");
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) fail("epoll_ctl(wake)");
 }
 
 Server::~Server() {

@@ -1,7 +1,7 @@
 // mhhead — the long-lived encryption service daemon.
 //
 // Architecture: ONE epoll I/O thread owns every socket; crypto runs as tasks
-// on the process-wide work-stealing executor (src/exec/executor.hpp). The
+// on the process-wide FIFO executor (src/exec/executor.hpp). The
 // I/O thread never blocks on crypto and the executor threads never touch a
 // file descriptor — completed responses travel back over a completion queue
 // drained via an eventfd wakeup. Per connection the daemon keeps a pair of

@@ -1,25 +1,17 @@
-// Unit tests for the persistent work-stealing executor (src/exec/) and its
-// fork-join TaskGroup:
+// Unit tests for the persistent FIFO executor (src/exec/):
 //
-//   * steal correctness — tasks submitted from outside and from worker
-//     threads all complete exactly once, whatever deque they landed on;
+//   * every task runs exactly once, even when several external threads
+//     race their submissions (the TSan job checks the handoff);
+//   * a single-worker executor runs tasks in submission order;
 //   * drain-on-shutdown — the destructor completes every queued task before
-//     joining, and submission after shutdown throws;
-//   * exception routing — a TaskGroup rethrows the first task exception on
-//     the waiting thread, and the remaining tasks still run;
-//   * helping — TaskGroup::wait executes queued work itself, so nested
-//     fan-out cannot deadlock even on a single-worker executor;
-//   * the mid-fan-out submit-failure contract: when submission throws partway
-//     through a fan-out, TaskGroup::run rolls its pending count back, so
-//     wait() still joins the already-queued tasks — whose closures reference
-//     the caller's stack frame — before the error propagates.
+//     joining, and submission after shutdown throws.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -59,53 +51,42 @@ TEST(Executor, RejectsNonPositiveWorkerCounts) {
 }
 
 TEST(Executor, RunsEveryTaskExactlyOnce) {
+  constexpr int kSubmitters = 4;
+  constexpr int kTasksEach = 250;
+  std::vector<std::atomic<int>> hits(kSubmitters * kTasksEach);
+  std::latch done(kSubmitters * kTasksEach);
+  // Declared after what the tasks touch, so it joins before they go away.
   exec::Executor ex(4);
-  constexpr int kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  exec::TaskGroup group(ex);
-  for (int i = 0; i < kTasks; ++i) {
-    group.run([&hits, i] { hits[static_cast<std::size_t>(i)].fetch_add(1); });
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int i = 0; i < kTasksEach; ++i) {
+        const auto slot = static_cast<std::size_t>(s * kTasksEach + i);
+        ex.submit([&hits, &done, slot] {
+          hits[slot].fetch_add(1);
+          done.count_down();
+        });
+      }
+    });
   }
-  group.wait();
+  for (auto& t : submitters) t.join();
+  done.wait();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Executor, StealSpreadsWorkSubmittedFromOneWorker) {
-  // All inner tasks are submitted from a single worker thread, so they land
-  // on that worker's own deque; with the submitter then busy, the only way
-  // the other workers can run them is by stealing.
-  exec::Executor ex(4);
+TEST(Executor, RunsTasksInSubmissionOrderOnOneWorker) {
   constexpr int kTasks = 64;
-  std::atomic<int> done{0};
-  std::atomic<int> distinct_threads{0};
-  std::mutex seen_mu;
-  std::vector<std::thread::id> seen;
-  exec::TaskGroup group(ex);
-  group.run([&] {
-    for (int i = 0; i < kTasks; ++i) {
-      group.run([&] {
-        {
-          std::lock_guard lock(seen_mu);
-          const auto id = std::this_thread::get_id();
-          bool fresh = true;
-          for (const auto& s : seen) fresh = fresh && s != id;
-          if (fresh) {
-            seen.push_back(id);
-            distinct_threads.fetch_add(1);
-          }
-        }
-        // Enough work that the fan-out outlives the submission loop.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        done.fetch_add(1);
-      });
-    }
-  });
-  group.wait();
-  EXPECT_EQ(done.load(), kTasks);
-  // On a multi-worker executor at least the submitter ran tasks; stealing is
-  // proven by completion (a stuck deque would hang the helping wait, and the
-  // TSan job would flag any unsynchronized handoff).
-  EXPECT_GE(distinct_threads.load(), 1);
+  std::vector<int> order;  // written only by the single worker
+  Gate gate;
+  {
+    exec::Executor ex(1);
+    // Hold the worker so every task below is queued before any runs.
+    ex.submit([&gate] { gate.wait(); });
+    for (int i = 0; i < kTasks; ++i) ex.submit([&order, i] { order.push_back(i); });
+    gate.open();
+  }  // ~Executor drains and joins: `order` is complete and visible here
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(Executor, DrainOnShutdownCompletesQueuedTasks) {
@@ -151,90 +132,6 @@ TEST(Executor, SubmitDuringShutdownThrows) {
   gate.open();
   destroyer.join();
   EXPECT_TRUE(threw);
-}
-
-TEST(Executor, TaskGroupRoutesFirstExceptionToWaiter) {
-  exec::Executor ex(2);
-  std::atomic<int> ran{0};
-  exec::TaskGroup group(ex);
-  for (int i = 0; i < 8; ++i) {
-    group.run([&ran, i] {
-      ran.fetch_add(1);
-      if (i == 3) throw std::invalid_argument("task 3 failed");
-    });
-  }
-  EXPECT_THROW(group.wait(), std::invalid_argument);
-  // The failure did not cancel siblings: every task still ran.
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(Executor, NestedFanOutDoesNotDeadlockOnOneWorker) {
-  // A task on the only worker fans out again onto the same executor and
-  // waits. Without helping this deadlocks (the worker waits on tasks only
-  // it could run); with helping it completes.
-  exec::Executor ex(1);
-  std::atomic<int> inner_done{0};
-  exec::TaskGroup outer(ex);
-  outer.run([&] {
-    exec::TaskGroup inner(ex);
-    for (int i = 0; i < 8; ++i) inner.run([&] { inner_done.fetch_add(1); });
-    inner.wait();
-  });
-  outer.wait();
-  EXPECT_EQ(inner_done.load(), 8);
-}
-
-// ------------------------------------------------------ mid-fan-out unwind
-//
-// A fan-out must not let its frame unwind while already-submitted closures
-// (which capture the caller's locals by reference) are still queued or
-// running.
-
-TEST(TaskGroupUnwind, FanOutDuringShutdownThrowsCleanly) {
-  // When submission is rejected (shutdown in progress), TaskGroup::run rolls
-  // its pending count back and rethrows; the fan-out then joins whatever it
-  // already queued (TaskGroup::wait, which must not hang on the rejected
-  // task) and surfaces the submission error instead of unwinding past live
-  // closures. The destructor blocks on a gated worker, pinning the executor
-  // in the stopping state.
-  auto ex = std::make_unique<exec::Executor>(1);
-  exec::Executor* raw = ex.get();  // see SubmitDuringShutdownThrows
-  Gate gate;
-  std::atomic<bool> blocker_started{false};
-  raw->submit([&] {
-    blocker_started.store(true);
-    gate.wait();
-  });
-  // The fan-out below HELPS (runs queued tasks on this thread) — make sure
-  // the worker owns the gate blocker first, or the helper would run it and
-  // block itself.
-  while (!blocker_started.load()) std::this_thread::yield();
-  std::thread destroyer([&ex] { ex.reset(); });
-  std::atomic<int> ran{0};
-  bool threw = false;
-  for (int i = 0; i < 2000 && !threw; ++i) {
-    exec::TaskGroup group(*raw);
-    std::exception_ptr submit_error;
-    try {
-      for (int k = 0; k < 4; ++k) group.run([&ran] { ran.fetch_add(1); });
-    } catch (...) {
-      submit_error = std::current_exception();
-    }
-    group.wait();
-    try {
-      if (submit_error != nullptr) std::rethrow_exception(submit_error);
-    } catch (const std::runtime_error&) {
-      threw = true;
-    }
-    if (!threw) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  gate.open();
-  destroyer.join();
-  EXPECT_TRUE(threw);
-  // Tasks queued before the failing submit were joined (helped to
-  // completion) before any frame unwound — ASan/TSan would flag anything
-  // else; `ran` only counts completed closures, never torn ones.
-  EXPECT_GE(ran.load(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The span-based zero-allocation cipher surface: encrypt_into/decrypt_into
 // bit-equivalence against the allocating APIs across every registry cipher,
 // the upper-bound size query, buffer failure paths, YAEA-S in-place
-// aliasing, the batch arena forms, and a counting-operator-new check that a
-// warmed encrypt_into or decrypt_into loop is heap-allocation-free.
+// aliasing, and a counting-operator-new check that a warmed encrypt_into or
+// decrypt_into loop is heap-allocation-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "src/core/cover.hpp"
 #include "src/core/frame.hpp"
 #include "src/core/mhhea.hpp"
-#include "src/crypto/batch.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
@@ -28,7 +27,7 @@
 // Counting global allocator: replaces the program-wide operator new/delete
 // with malloc/free wrappers that count allocations, so the steady-state
 // test below can assert a warmed encrypt_into loop never touches the heap.
-// Counting is atomic — other suites in this binary run worker threads.
+// Counting is atomic: operator new may be called from any thread.
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
@@ -172,63 +171,6 @@ TEST(YaeaAliasing, InPlaceRoundTrip) {
     ASSERT_EQ(cipher->decrypt_into(buf, len, buf), len) << len;
     ASSERT_EQ(buf, msg) << len;
   }
-}
-
-// The batch arena forms produce byte-identical results to the allocating
-// batch APIs, writing every message into its precomputed disjoint slot.
-TEST(BatchArena, MatchesAllocatingBatch) {
-  util::Xoshiro256 rng(0xBA7C);
-  for (const auto& name : CipherRegistry::builtin().names()) {
-    const auto maker = [&] { return CipherRegistry::builtin().make(name, 0xACE1); };
-    std::vector<std::vector<std::uint8_t>> msgs;
-    std::vector<std::size_t> msg_bytes;
-    for (const std::size_t len : {std::size_t{0}, std::size_t{13}, std::size_t{256},
-                                  std::size_t{1024}, std::size_t{4000}}) {
-      msgs.push_back(random_message(rng, len));
-      msg_bytes.push_back(len);
-    }
-    const auto expected = encrypt_batch(maker, msgs, 2);
-
-    auto sizer = maker();
-    std::vector<std::size_t> offsets(msgs.size());
-    std::vector<std::size_t> sizes(msgs.size());
-    std::vector<std::uint8_t> arena(encrypt_arena_layout(*sizer, msgs, offsets));
-    encrypt_batch_into(maker, msgs, offsets, arena, sizes, 2);
-    std::vector<std::vector<std::uint8_t>> cts;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      ASSERT_EQ(sizes[i], expected[i].size()) << name << " msg " << i;
-      cts.emplace_back(arena.begin() + static_cast<long>(offsets[i]),
-                       arena.begin() + static_cast<long>(offsets[i] + sizes[i]));
-      EXPECT_EQ(cts.back(), expected[i]) << name << " msg " << i;
-    }
-
-    std::vector<std::size_t> dec_offsets(msgs.size());
-    std::vector<std::uint8_t> dec_arena(decrypt_arena_layout(msg_bytes, dec_offsets));
-    decrypt_batch_into(maker, cts, msg_bytes, dec_offsets, dec_arena, 2);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_TRUE(std::equal(msgs[i].begin(), msgs[i].end(),
-                             dec_arena.begin() + static_cast<long>(dec_offsets[i])))
-          << name << " msg " << i;
-    }
-  }
-}
-
-TEST(BatchArena, LayoutValidation) {
-  const auto maker = [] { return CipherRegistry::builtin().make("YAEA-S", 0xACE1); };
-  const std::vector<std::vector<std::uint8_t>> msgs = {{1, 2, 3}, {4, 5}};
-  std::vector<std::size_t> offsets(1);  // wrong length
-  auto sizer = maker();
-  EXPECT_THROW((void)encrypt_arena_layout(*sizer, msgs, offsets), std::invalid_argument);
-  // Decreasing offsets must be rejected (slots would overlap).
-  std::vector<std::size_t> bad = {3, 0};
-  std::vector<std::uint8_t> arena(8);
-  std::vector<std::size_t> sizes(2);
-  EXPECT_THROW(encrypt_batch_into(maker, msgs, bad, arena, sizes, 1),
-               std::invalid_argument);
-  // A slot too small for its ciphertext fails loudly.
-  std::vector<std::size_t> tight = {0, 1};
-  EXPECT_THROW(encrypt_batch_into(maker, msgs, tight, arena, sizes, 1),
-               std::length_error);
 }
 
 // The headline contract of this surface: once warmed, an encrypt_into loop
