@@ -20,7 +20,10 @@
 // is two shifted extracts, and embed/extract move the whole w-bit message
 // word with one mask operation — the software analogue of the FPGA
 // manipulating the full hiding vector per clock. The cipher hot path in
-// core/mhhea.cpp inlines these directly.
+// core/mhhea.cpp inlines the embed/extract pair; scramble_range only fills
+// the per-pair range tables each core builds at construction (the FPGA's
+// location-scrambler LUTs), so it is evaluated once per table entry, never
+// per block.
 #pragma once
 
 #include <cassert>

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/util/bits.hpp"
-#include "src/util/bitstream.hpp"
 
 namespace mhhea::core {
 
@@ -23,7 +22,7 @@ BlockEncryptor<Window>::BlockEncryptor(Key key, std::unique_ptr<CoverSource> cov
   params_.validate();
   if (cover_ == nullptr) throw std::invalid_argument("Encryptor: null cover source");
   key_.require_fits(params_, "Encryptor");
-  pair_ctx_ = detail::make_pair_ctx(key_, params_);
+  pairs_ = detail::PairTables::build<Window>(key_, params_);
   cover_buf_.resize(kCoverChunk);
   for (const KeyPair& p : key_.pairs()) {
     cycle_min_bits_ += static_cast<std::uint64_t>(Window::min_width(p, params_));
@@ -33,7 +32,7 @@ BlockEncryptor<Window>::BlockEncryptor(Key key, std::unique_ptr<CoverSource> cov
 template <class Window>
 std::uint64_t BlockEncryptor<Window>::max_cipher_bytes(std::uint64_t n_bits) const {
   if (n_bits == 0) return 0;
-  const auto L = static_cast<std::uint64_t>(pair_ctx_.size());
+  const auto L = static_cast<std::uint64_t>(pairs_.size());
   // Any L consecutive uncapped blocks embed at least cycle_min_bits_ bits,
   // and only caps (the message end, or one block per frame boundary) break
   // that — both covered by the trailing +L per capped region.
@@ -48,12 +47,17 @@ template <class Window>
 std::size_t BlockEncryptor<Window>::encrypt_into(std::span<const std::uint8_t> msg,
                                                  std::span<std::uint8_t> out) {
   cover_->reset();
-  util::BitReader reader(msg);
-  std::uint64_t remaining = static_cast<std::uint64_t>(msg.size()) * 8;
+  const std::uint64_t total = static_cast<std::uint64_t>(msg.size()) * 8;
+  std::uint64_t bitpos = 0;
   const auto bb = static_cast<std::size_t>(params_.block_bytes());
-  const auto h = static_cast<std::uint64_t>(params_.half());
+  const int h = params_.half();
+  const int lb = params_.loc_bits();
   std::uint8_t* dst = out.data();
-  std::size_t pair_idx = 0;
+  // Plain locals, so the byte stores through dst cannot force reloads.
+  const std::uint64_t* const cover = cover_buf_.data();
+  const detail::PairCtx* const first = pairs_.begin();
+  const detail::PairCtx* const last = pairs_.end();
+  const detail::PairCtx* pc = first;
   std::size_t pos = 0;
   std::size_t len = 0;
   // Refill the resident prefetch chunk. `rem` is a lower bound on the blocks
@@ -62,8 +66,8 @@ std::size_t BlockEncryptor<Window>::encrypt_into(std::span<const std::uint8_t> m
   // drains finite covers exactly and makes the chunk-granular space check
   // exact rather than pessimistic.
   const auto refill = [&](std::uint64_t rem) {
-    const auto want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(cover_buf_.size(), std::max<std::uint64_t>(rem / h, 1)));
+    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
+        cover_buf_.size(), std::max<std::uint64_t>(rem / static_cast<std::uint64_t>(h), 1)));
     len = cover_->next_blocks(params_.vector_bits, std::span(cover_buf_.data(), want));
     pos = 0;
     if (len == 0) throw std::runtime_error("Encryptor: cover source exhausted");
@@ -71,44 +75,39 @@ std::size_t BlockEncryptor<Window>::encrypt_into(std::span<const std::uint8_t> m
       throw std::length_error("Encryptor::encrypt_into: output buffer too small");
     }
   };
+  // Embed the low bits of `bits` into the next cover block, at most `cap` of
+  // them, and return how many went in. The embed keeps only the low w bits.
+  const auto embed_next = [&](std::uint64_t bits, std::uint64_t cap) {
+    const std::uint64_t v = cover[pos++];
+    const detail::PairCtx& p = *pc;
+    if (++pc == last) pc = first;
+    const std::uint16_t e = p.range[detail::range_index(v, p.lo, h, lb)];
+    const int w = static_cast<int>(std::min<std::uint64_t>(e >> 8, cap));
+    util::store_le(dst, embed_bits_with_pattern(v, e & 0xFF, p.pattern, bits, w),
+                   static_cast<int>(bb));
+    dst += bb;
+    return w;
+  };
   if (params_.policy == FramePolicy::framed) {
     // Frame-batched, final-sized: the whole message length is in hand, so
-    // every frame is planned at its one-shot size directly, with one bulk
-    // message-word read per frame (a frame is <= vector_bits <= 64 bits).
-    while (remaining > 0) {
-      const int frame = params_.frame_budget(remaining);
-      const std::uint64_t word = reader.read_bits(frame);
-      int consumed = 0;
-      while (consumed < frame) {
-        if (pos == len) refill(remaining - static_cast<std::uint64_t>(consumed));
-        const std::uint64_t v = cover_buf_[pos++];
-        const detail::PairCtx& pc = pair_ctx_[pair_idx];
-        if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-        const ScrambledRange r = Window::range(v, pc.pair, params_);
-        const int w = std::min(r.width(), frame - consumed);
-        // The embed keeps only the low w bits of the shifted word.
-        util::store_le(
-            dst, embed_bits_with_pattern(v, r.kn1, Window::pattern(pc), word >> consumed, w),
-            static_cast<int>(bb));
-        dst += bb;
-        consumed += w;
+    // every frame is planned at its one-shot size directly. A frame starts
+    // byte-aligned and is <= vector_bits <= 64 bits, so one word load holds
+    // all of it.
+    while (bitpos < total) {
+      const int frame = params_.frame_budget(total - bitpos);
+      const std::uint64_t word = util::load_bits(msg, bitpos);
+      for (int consumed = 0; consumed < frame;) {
+        if (pos == len) refill(total - bitpos - static_cast<std::uint64_t>(consumed));
+        consumed += embed_next(word >> consumed, static_cast<std::uint64_t>(frame - consumed));
       }
-      remaining -= static_cast<std::uint64_t>(frame);
+      bitpos += static_cast<std::uint64_t>(frame);
     }
   } else {
-    while (remaining > 0) {
-      if (pos == len) refill(remaining);
-      const std::uint64_t v = cover_buf_[pos++];
-      const detail::PairCtx& pc = pair_ctx_[pair_idx];
-      if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-      const ScrambledRange r = Window::range(v, pc.pair, params_);
-      const int w = static_cast<int>(
-          std::min(static_cast<std::uint64_t>(r.width()), remaining));
-      util::store_le(
-          dst, embed_bits_with_pattern(v, r.kn1, Window::pattern(pc), reader.read_bits(w), w),
-          static_cast<int>(bb));
-      dst += bb;
-      remaining -= static_cast<std::uint64_t>(w);
+    // A block takes at most N/2 <= 32 bits, within the >= 57 of one load.
+    while (bitpos < total) {
+      if (pos == len) refill(total - bitpos);
+      const int w = embed_next(util::load_bits(msg, bitpos), total - bitpos);
+      bitpos += static_cast<std::uint64_t>(w);
     }
   }
   return static_cast<std::size_t>(dst - out.data());
@@ -120,7 +119,7 @@ BlockDecryptor<Window>::BlockDecryptor(Key key, std::uint64_t /*message_bits*/,
     : key_(std::move(key)), params_(params) {
   params_.validate();
   key_.require_fits(params_, "Decryptor");
-  pair_ctx_ = detail::make_pair_ctx(key_, params_);
+  pairs_ = detail::PairTables::build<Window>(key_, params_);
 }
 
 template <class Window>
@@ -135,50 +134,66 @@ std::size_t BlockDecryptor<Window>::decrypt_into(std::span<const std::uint8_t> c
   if (out.size() < out_bytes) {
     throw std::length_error("Decryptor::decrypt_into: output buffer too small");
   }
-  util::SpanBitWriter sink(out.first(out_bytes));
+  const int h = params_.half();
+  const int lb = params_.loc_bits();
   std::uint64_t recovered = 0;
-  std::size_t pair_idx = 0;
+  const detail::PairCtx* const first = pairs_.begin();
+  const detail::PairCtx* const last = pairs_.end();
+  const detail::PairCtx* pc = first;
   const std::uint8_t* src = cipher.data();
   const std::uint8_t* const end = src + cipher.size();
-  if (params_.policy != FramePolicy::framed) {
-    while (src != end) {
-      if (recovered == message_bits) {
-        throw std::invalid_argument(
-            "Decryptor::decrypt_into: trailing ciphertext blocks after message end");
-      }
-      const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
-      src += bb;
-      const detail::PairCtx& pc = pair_ctx_[pair_idx];
-      if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-      const ScrambledRange range = Window::range(v, pc.pair, params_);
-      const int w = static_cast<int>(std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(range.width()), message_bits - recovered));
-      sink.write_bits(extract_bits_with_pattern(v, range.kn1, Window::pattern(pc), w), w);
-      recovered += static_cast<std::uint64_t>(w);
+  // OR at most `cap` message bits of the next ciphertext block into `word`
+  // at bit `at`, and return how many.
+  const auto extract_next = [&](std::uint64_t cap, std::uint64_t& word, int at) {
+    const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
+    src += bb;
+    const detail::PairCtx& p = *pc;
+    if (++pc == last) pc = first;
+    const std::uint16_t e = p.range[detail::range_index(v, p.lo, h, lb)];
+    const int w = static_cast<int>(std::min<std::uint64_t>(e >> 8, cap));
+    word |= extract_bits_with_pattern(v, e & 0xFF, p.pattern, w) << at;
+    return w;
+  };
+  const auto check_not_trailing = [&] {
+    if (recovered == message_bits) {
+      throw std::invalid_argument(
+          "Decryptor::decrypt_into: trailing ciphertext blocks after message end");
     }
-  } else {
-    // Frame-batched: one word accumulates each frame's bits, one write_bits
-    // flushes them.
+  };
+  if (params_.policy != FramePolicy::framed) {
+    // A 64-bit accumulator flushed 32 bits at a time: it holds < 32 bits
+    // between blocks and a block adds at most N/2 <= 32, and every flushed
+    // byte is whole message bits, so no store passes out_bytes.
+    std::uint8_t* sink = out.data();
+    std::uint64_t acc = 0;
+    int fill = 0;
     while (src != end) {
-      if (recovered == message_bits) {
-        throw std::invalid_argument(
-            "Decryptor::decrypt_into: trailing ciphertext blocks after message end");
+      check_not_trailing();
+      const int w = extract_next(message_bits - recovered, acc, fill);
+      fill += w;
+      recovered += static_cast<std::uint64_t>(w);
+      if (fill >= 32) {
+        util::store_le(sink, acc, 4);
+        sink += 4;
+        acc >>= 32;
+        fill -= 32;
       }
+    }
+    util::store_le(sink, acc, (fill + 7) / 8);
+  } else {
+    // Frame-batched: one word accumulates each frame's bits (<= 64) and is
+    // stored straight at the frame's byte-aligned offset.
+    while (src != end) {
+      check_not_trailing();
       int budget = params_.frame_budget(message_bits - recovered);
       std::uint64_t word = 0;
       int consumed = 0;
       while (budget > 0 && src != end) {
-        const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
-        src += bb;
-        const detail::PairCtx& pc = pair_ctx_[pair_idx];
-        if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-        const ScrambledRange range = Window::range(v, pc.pair, params_);
-        const int w = std::min(range.width(), budget);
-        word |= extract_bits_with_pattern(v, range.kn1, Window::pattern(pc), w) << consumed;
+        const int w = extract_next(static_cast<std::uint64_t>(budget), word, consumed);
         consumed += w;
         budget -= w;
       }
-      sink.write_bits(word, consumed);
+      util::store_le(out.data() + recovered / 8, word, (consumed + 7) / 8);
       recovered += static_cast<std::uint64_t>(consumed);
       if (budget > 0) break;  // ciphertext ended mid-frame: too short, below
     }
@@ -187,7 +202,6 @@ std::size_t BlockDecryptor<Window>::decrypt_into(std::span<const std::uint8_t> c
     throw std::invalid_argument(
         "Decryptor::decrypt_into: ciphertext too short for message length");
   }
-  sink.flush();
   return out_bytes;
 }
 

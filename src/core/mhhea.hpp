@@ -14,61 +14,134 @@
 // half. In particular the encryptor's LFSR seed (or cover data) is NOT
 // required — it acts as a nonce.
 //
-// The hot path is word-at-a-time end to end, mirroring the FPGA's whole-
-// vector-per-clock datapath: message bits are pulled from the BitReader in
-// w-bit words, cover vectors are prefetched in chunks through
-// CoverSource::next_blocks, and each block is embedded/extracted with one
-// masked word operation (block.hpp). Both cores are reusable across
-// messages, so adapters amortize construction.
+// The hot path is table-driven and word-at-a-time end to end, mirroring the
+// FPGA's whole-vector-per-clock datapath: each block's replacement range
+// comes from a per-pair lookup table built once per core (the software form
+// of the location scrambler's LUTs — scramble_range only builds the tables),
+// message bits arrive by one unaligned 64-bit load per block, cover vectors
+// are prefetched in chunks through CoverSource::next_blocks, and each block
+// is embedded/extracted with one masked word operation (block.hpp). Both
+// cores are reusable across messages, so adapters amortize construction.
 //
 // The engine is a template over a compile-time window policy — where a
 // block's message word lands and which key pattern it is XORed with:
 // ScrambledWindow is MHHEA (location and data scrambling), FixedWindow is
-// the original HHEA [SHAAR03] (both scramblers bypassed). Encryptor and
-// Decryptor name the MHHEA instantiation; crypto::HheaCipher runs the fixed
-// one. Each instantiation has exactly one encrypt walk and one decrypt walk.
+// the original HHEA [SHAAR03] (both scramblers bypassed; its range table is
+// constant). Encryptor and Decryptor name the MHHEA instantiation;
+// crypto::HheaCipher runs the fixed one. Each instantiation has exactly one
+// encrypt walk and one decrypt walk, for every vector width.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/block.hpp"
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
+#include "src/util/bits.hpp"
+#include "src/util/secret.hpp"
 
 namespace mhhea::core {
 
 namespace detail {
-/// Per-pair constants of the cipher hot loops: the pair plus its cached
-/// data-scramble pattern (avoids the mod-L divide of Key::pair_for_block
-/// and the per-block pattern rebuild). Shared by both cores so the caches
-/// cannot drift apart.
+/// Per-pair constants of the cipher hot loops, built once per core: the
+/// pair's range table, its data-scramble pattern (0 under FixedWindow) and
+/// its canonical K1. Entry range_index(v) packs the replacement range of
+/// block v as kn1 | width << 8, so no block evaluates scramble_range. At
+/// N=16 all 256 entries are live; at N=32/64 the first 2^loc_bits.
 struct PairCtx {
-  KeyPair pair;
+  std::array<std::uint16_t, 256> range{};
   std::uint64_t pattern = 0;
+  int lo = 0;
 };
 
-inline std::vector<PairCtx> make_pair_ctx(const Key& key, const BlockParams& params) {
-  std::vector<PairCtx> ctx;
-  ctx.reserve(static_cast<std::size_t>(key.size()));
-  for (const KeyPair& p : key.pairs()) ctx.push_back({p, key_pattern(p, params)});
-  return ctx;
+/// Index of block `v` into the range table of a pair whose canonical K1 is
+/// `lo` (h = N/2, lb = loc_bits) — the walk's only per-N step. At N=16 it
+/// is V's whole high byte, which folds the scramble-field read into the
+/// table; at N=32/64 it is the lb-bit scramble field itself (scramble_range's
+/// wrapping window, read as one rotate of the high half).
+[[nodiscard]] inline std::size_t range_index(std::uint64_t v, int lo, int h, int lb) noexcept {
+  const std::uint64_t high = (v >> h) & util::mask64(h);
+  if (h == 8) return static_cast<std::size_t>(high);
+  return static_cast<std::size_t>(((high >> lo) | (high << (h - lo))) & util::mask64(lb));
 }
+
+/// A core's PairCtx per key pair, in key order. Every entry comes from the
+/// window's normative range (scramble_range / FixedWindow::range), so there
+/// is no second formula. The caches encode the key, so their storage is
+/// wiped (util::secure_wipe) before it is released — when the owning core
+/// dies and when a move-assignment replaces it.
+class PairTables {
+ public:
+  PairTables() = default;
+  template <class Window>
+  [[nodiscard]] static PairTables build(const Key& key, const BlockParams& params) {
+    const int h = params.half();
+    const int lb = params.loc_bits();
+    PairTables t;
+    t.ctx_.resize(static_cast<std::size_t>(key.size()));
+    for (std::size_t i = 0; i < t.ctx_.size(); ++i) {
+      const KeyPair& pair = key.pairs()[i];
+      PairCtx& pc = t.ctx_[i];
+      pc.pattern = Window::pattern(pair, params);
+      pc.lo = pair.lo();
+      // The block whose high half is `high` rotated left by K1 has the low
+      // lb bits of `high` as its scramble field, and a range depends only
+      // on that field: one window call per field value, then the 256 such
+      // blocks reach every index at every N.
+      const auto block = [&](std::uint64_t high) {
+        return (((high << pc.lo) | (high >> (h - pc.lo))) << h) & util::mask64(2 * h);
+      };
+      std::array<std::uint16_t, 32> by_field{};
+      for (std::uint64_t f = 0; f < (std::uint64_t{1} << lb); ++f) {
+        const ScrambledRange r = Window::range(block(f), pair, params);
+        by_field[f] = static_cast<std::uint16_t>(r.kn1 | r.width() << 8);
+      }
+      for (std::uint64_t high = 0; high < 256; ++high) {
+        pc.range[range_index(block(high), pc.lo, h, lb)] = by_field[high & util::mask64(lb)];
+      }
+    }
+    return t;
+  }
+  PairTables(PairTables&&) noexcept = default;
+  PairTables& operator=(PairTables&& other) noexcept {
+    if (this != &other) {
+      wipe();
+      ctx_ = std::move(other.ctx_);
+    }
+    return *this;
+  }
+  ~PairTables() { wipe(); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return ctx_.size(); }
+  [[nodiscard]] const PairCtx* begin() const noexcept { return ctx_.data(); }
+  [[nodiscard]] const PairCtx* end() const noexcept { return ctx_.data() + ctx_.size(); }
+
+ private:
+  void wipe() noexcept { util::secure_wipe(ctx_.data(), ctx_.size() * sizeof(PairCtx)); }
+
+  std::vector<PairCtx> ctx_;  // [[mhhea::secret]] K1, d and the K1 pattern per pair
+};
 }  // namespace detail
 
 /// MHHEA's window: the replacement range is scrambled from the block's high
 /// half and the message word is XORed with the pair's K1 pattern
-/// (block.hpp).
+/// (block.hpp). Both are read only while a core builds its tables.
 struct ScrambledWindow {
   [[nodiscard]] static ScrambledRange range(std::uint64_t v, const KeyPair& pair,
                                             const BlockParams& params) {
     return scramble_range(v, pair, params);
   }
-  [[nodiscard]] static std::uint64_t pattern(const detail::PairCtx& pc) { return pc.pattern; }
+  [[nodiscard]] static std::uint64_t pattern(const KeyPair& pair, const BlockParams& params) {
+    return key_pattern(pair, params);
+  }
   /// Narrowest uncapped width of a pair: the scrambled range is d+1 wide
   /// without a wrap and H-d+1 wide with one (block.hpp).
   [[nodiscard]] static constexpr int min_width(const KeyPair& pair, const BlockParams& params) {
@@ -85,7 +158,8 @@ struct FixedWindow {
                                                       const BlockParams& /*params*/) {
     return {pair.lo(), pair.hi()};
   }
-  [[nodiscard]] static constexpr std::uint64_t pattern(const detail::PairCtx& /*pc*/) {
+  [[nodiscard]] static constexpr std::uint64_t pattern(const KeyPair& /*pair*/,
+                                                       const BlockParams& /*params*/) {
     return 0;
   }
   [[nodiscard]] static constexpr int min_width(const KeyPair& pair,
@@ -128,7 +202,7 @@ class BlockEncryptor {
   Key key_;
   std::unique_ptr<CoverSource> cover_;
   BlockParams params_;
-  std::vector<detail::PairCtx> pair_ctx_;
+  detail::PairTables pairs_;
   std::vector<std::uint64_t> cover_buf_;  // prefetched hiding vectors
   std::uint64_t cycle_min_bits_ = 0;      // sum of Window::min_width over the key
 };
@@ -155,7 +229,7 @@ class BlockDecryptor {
  private:
   Key key_;
   BlockParams params_;
-  std::vector<detail::PairCtx> pair_ctx_;
+  detail::PairTables pairs_;
 };
 
 extern template class BlockEncryptor<ScrambledWindow>;

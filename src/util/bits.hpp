@@ -5,12 +5,20 @@
 //     least significant bit" — paper, §IV);
 //   * multi-bit fields are written `value[hi..lo]` with `lo` at the LSB;
 //   * rotations are defined on an explicit width so that 16-bit hardware
-//     rotates and 64-bit software values never get mixed up.
+//     rotates and 64-bit software values never get mixed up;
+//   * a byte buffer is an LSB-first bit stream: within a byte, bit 0 is
+//     consumed first, and 16-bit hardware words are little-endian (byte[0]
+//     = bits 7..0). This makes the software bit stream identical to the
+//     hardware view of the message cache, which is what the co-simulation
+//     tests rely on.
 #pragma once
 
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <type_traits>
 
 namespace mhhea::util {
@@ -93,18 +101,65 @@ namespace mhhea::util {
   return (v & ~mask64(width)) == 0;
 }
 
-/// Read a little-endian unsigned integer of `n_bytes` (<= 8) bytes.
+namespace detail {
+/// Unaligned native-order load/store of one `Word`.
+template <class Word>
+[[nodiscard]] inline Word load_native(const std::uint8_t* p) noexcept {
+  Word w;
+  std::memcpy(&w, p, sizeof(Word));
+  return w;
+}
+template <class Word>
+inline void store_native(std::uint8_t* p, std::uint64_t v) noexcept {
+  const auto w = static_cast<Word>(v);
+  std::memcpy(p, &w, sizeof(Word));
+}
+/// True where a whole little-endian word may move as one native access.
+[[nodiscard]] constexpr bool native_le() noexcept {
+  return std::endian::native == std::endian::little && !std::is_constant_evaluated();
+}
+}  // namespace detail
+
+/// Read a little-endian unsigned integer of `n_bytes` (<= 8) bytes. A whole
+/// 2-, 4- or 8-byte word (one hiding-vector block) is one native load on
+/// little-endian hosts.
 [[nodiscard]] constexpr std::uint64_t load_le(const std::uint8_t* p, int n_bytes) noexcept {
   assert(n_bytes >= 0 && n_bytes <= 8);
+  if (detail::native_le()) {
+    if (n_bytes == 2) return detail::load_native<std::uint16_t>(p);
+    if (n_bytes == 4) return detail::load_native<std::uint32_t>(p);
+    if (n_bytes == 8) return detail::load_native<std::uint64_t>(p);
+  }
   std::uint64_t v = 0;
   for (int i = 0; i < n_bytes; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
 }
 
-/// Write the low `n_bytes` (<= 8) bytes of `v` little-endian.
+/// Write the low `n_bytes` (<= 8) bytes of `v` little-endian; whole 2-, 4-
+/// and 8-byte words as one native store, as in load_le.
 constexpr void store_le(std::uint8_t* p, std::uint64_t v, int n_bytes) noexcept {
   assert(n_bytes >= 0 && n_bytes <= 8);
+  if (detail::native_le()) {
+    if (n_bytes == 2) return detail::store_native<std::uint16_t>(p, v);
+    if (n_bytes == 4) return detail::store_native<std::uint32_t>(p, v);
+    if (n_bytes == 8) return detail::store_native<std::uint64_t>(p, v);
+  }
   for (int i = 0; i < n_bytes; ++i) p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
+}
+
+/// The stream bits of `bytes` from bit `pos` on, bit `pos` at bit 0: one
+/// unaligned 64-bit little-endian load at pos >> 3, shifted by pos & 7, so
+/// at least 57 valid bits. Within the last 8 bytes only the bytes that exist
+/// are read and the missing high bits are zero. Requires pos < 8 *
+/// bytes.size(). The software form of the message cache's word-wide port.
+[[nodiscard]] inline std::uint64_t load_bits(std::span<const std::uint8_t> bytes,
+                                             std::uint64_t pos) noexcept {
+  const auto at = static_cast<std::size_t>(pos >> 3);
+  assert(at < bytes.size());
+  const std::size_t avail = bytes.size() - at;
+  const std::uint64_t word = avail >= 8 ? load_le(bytes.data() + at, 8)
+                                        : load_le(bytes.data() + at, static_cast<int>(avail));
+  return word >> (pos & 7);
 }
 
 /// Narrowing cast that asserts the value is representable (Core Guidelines

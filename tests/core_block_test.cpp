@@ -1,9 +1,14 @@
 // Tests of the per-block transform against the paper's worked example
-// (Fig. 8) and its algebraic properties.
+// (Fig. 8) and its algebraic properties, and of the block engine's per-pair
+// range tables against that transform, entry by entry.
 #include "src/core/block.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/core/mhhea.hpp"
 #include "src/util/rng.hpp"
 
 namespace mhhea::core {
@@ -158,6 +163,79 @@ TEST(EmbedExtract, GeneralizedVectors) {
     }
   }
 }
+
+// ---------------------------------------------------------------------
+// The block engine's range tables (mhhea.hpp): every live entry of every
+// canonical pair must decode to exactly the range the window defines for
+// each block that indexes it.
+
+/// A block whose range-table index is `index`, every other bit drawn from
+/// `rng`: at N=16 the index is V's high byte; at N=32/64 it is the
+/// loc_bits-bit scramble field, bit j at V[(lo + j) mod H + H].
+std::uint64_t block_with_index(std::size_t index, int lo, const BlockParams& params,
+                               util::Xoshiro256& rng) {
+  const int h = params.half();
+  std::uint64_t v = rng.next() & util::mask64(params.vector_bits);
+  if (h == 8) return (v & 0xFF) | static_cast<std::uint64_t>(index) << 8;
+  for (int j = 0; j < params.loc_bits(); ++j) {
+    v = util::set_bit(v, h + (lo + j) % h, util::get_bit(index, j));
+  }
+  return v;
+}
+
+template <class Window>
+void check_every_entry(const BlockParams& params, bool scrambled) {
+  const int h = params.half();
+  const int lb = params.loc_bits();
+  const std::size_t n_index = h == 8 ? 256 : std::size_t{1} << lb;
+  util::Xoshiro256 rng(0x7AB1E + static_cast<std::uint64_t>(params.vector_bits));
+  for (int lo = 0; lo < h; ++lo) {
+    for (int hi = lo; hi < h; ++hi) {
+      const KeyPair pair{static_cast<std::uint8_t>(lo), static_cast<std::uint8_t>(hi)};
+      const detail::PairTables tables =
+          detail::PairTables::build<Window>(Key({pair}, params), params);
+      ASSERT_EQ(tables.size(), 1u);
+      const detail::PairCtx& pc = *tables.begin();
+      ASSERT_EQ(pc.lo, lo);
+      ASSERT_EQ(pc.pattern, scrambled ? key_pattern(pair, params) : 0u);
+      for (std::size_t index = 0; index < n_index; ++index) {
+        for (int trial = 0; trial < 16; ++trial) {
+          const std::uint64_t v = block_with_index(index, lo, params, rng);
+          ASSERT_EQ(detail::range_index(v, lo, h, lb), index) << std::hex << v;
+          const ScrambledRange want = scrambled ? scramble_range(v, pair, params)
+                                                : FixedWindow::range(v, pair, params);
+          const std::uint16_t e = pc.range[index];
+          ASSERT_EQ(e & 0xFF, want.kn1) << "pair " << lo << "-" << hi << " index " << index;
+          ASSERT_EQ(e >> 8, want.width()) << "pair " << lo << "-" << hi << " index " << index;
+        }
+      }
+    }
+  }
+}
+
+class RangeTable : public ::testing::TestWithParam<BlockParams> {};
+
+TEST_P(RangeTable, EveryScrambledEntryMatchesScrambleRange) {
+  check_every_entry<ScrambledWindow>(GetParam(), true);
+}
+
+TEST_P(RangeTable, EveryFixedEntryMatchesTheKeyRange) {
+  check_every_entry<FixedWindow>(GetParam(), false);
+}
+
+/// The five block geometries of the reference-model sweep.
+INSTANTIATE_TEST_SUITE_P(Params, RangeTable,
+                         ::testing::Values(BlockParams::paper(), BlockParams::hardware(),
+                                           BlockParams{32, FramePolicy::continuous},
+                                           BlockParams{32, FramePolicy::framed},
+                                           BlockParams{64, FramePolicy::framed}),
+                         [](const ::testing::TestParamInfo<BlockParams>& info) {
+                           std::string name = "v";
+                           name += std::to_string(info.param.vector_bits);
+                           name += info.param.policy == FramePolicy::framed ? "_framed"
+                                                                            : "_continuous";
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace mhhea::core

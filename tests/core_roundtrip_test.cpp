@@ -3,6 +3,7 @@
 // independence; steganography mode; failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,57 @@ INSTANTIATE_TEST_SUITE_P(
              "K" + std::to_string(std::get<2>(info.param)) + "Len" +
              std::to_string(std::get<3>(info.param));
     });
+
+// Every tail of the word-wide message load and of the decrypt accumulator:
+// short and near-256-byte messages round-trip through heap buffers sized
+// exactly — the message for encrypt, the ciphertext itself and
+// ceil(bits / 8) bytes for decrypt — so the sanitizer build flags any read
+// or write past a buffer end.
+template <class Window>
+void round_trip_exact_buffers(const BlockParams& params) {
+  util::Xoshiro256 rng(0x7A11 + static_cast<std::uint64_t>(params.vector_bits));
+  const Key key = Key::random(rng, 5, params);
+  BlockEncryptor<Window> enc(key, make_lfsr_cover(params.vector_bits, 0xACE1), params);
+  BlockDecryptor<Window> dec(key, 0, params);
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 24; ++len) lens.push_back(len);
+  for (const std::size_t len : {255, 256, 257}) lens.push_back(len);
+  for (const std::size_t len : lens) {
+    const std::vector<std::uint8_t> msg = random_message(rng, len);
+    std::vector<std::uint8_t> bound(enc.max_cipher_bytes(static_cast<std::uint64_t>(len) * 8));
+    const std::size_t n = enc.encrypt_into(msg, bound);
+    std::vector<std::uint8_t> ct(n);
+    ASSERT_EQ(enc.encrypt_into(msg, ct), n) << "len " << len;
+    EXPECT_TRUE(std::equal(ct.begin(), ct.end(), bound.begin())) << "len " << len;
+    std::vector<std::uint8_t> out((len * 8 + 7) / 8);
+    ASSERT_EQ(dec.decrypt_into(ct, static_cast<std::uint64_t>(len) * 8, out), len);
+    EXPECT_EQ(out, msg) << "len " << len;
+  }
+}
+
+class ExactBuffers : public ::testing::TestWithParam<BlockParams> {};
+
+TEST_P(ExactBuffers, ScrambledWindowRoundTripsEveryTail) {
+  round_trip_exact_buffers<ScrambledWindow>(GetParam());
+}
+
+TEST_P(ExactBuffers, FixedWindowRoundTripsEveryTail) {
+  round_trip_exact_buffers<FixedWindow>(GetParam());
+}
+
+/// The five block geometries of the reference-model sweep.
+INSTANTIATE_TEST_SUITE_P(Params, ExactBuffers,
+                         ::testing::Values(BlockParams::paper(), BlockParams::hardware(),
+                                           BlockParams{32, FramePolicy::continuous},
+                                           BlockParams{32, FramePolicy::framed},
+                                           BlockParams{64, FramePolicy::framed}),
+                         [](const ::testing::TestParamInfo<BlockParams>& info) {
+                           std::string name = "v";
+                           name += std::to_string(info.param.vector_bits);
+                           name += info.param.policy == FramePolicy::framed ? "_framed"
+                                                                            : "_continuous";
+                           return name;
+                         });
 
 TEST(RoundTripEdge, EmptyMessageProducesNoBlocks) {
   const Key key = Key::parse("0-3");

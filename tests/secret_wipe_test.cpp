@@ -6,7 +6,8 @@
 //   * heap storage — a controlled global allocator (operator new/delete
 //     replaced with malloc/free wrappers, the into_api_test idiom) watches
 //     one specific allocation and records, at free time, whether the owner
-//     wiped it before release.
+//     wiped it before release. Private storage is picked out by size: the
+//     next allocation of an armed size becomes the watched one.
 //
 // Together they prove the secure_wipe barrier survives optimization: if the
 // compiler elided the "dead" stores, these scans would find the key bytes.
@@ -16,9 +17,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "src/core/cover.hpp"
 #include "src/core/key.hpp"
+#include "src/core/mhhea.hpp"
 #include "src/crypto/mac.hpp"
 #include "src/crypto/session.hpp"
 #include "src/crypto/yaea.hpp"
@@ -38,11 +43,23 @@ std::atomic<const void*> g_watch_ptr{nullptr};
 std::atomic<std::size_t> g_watch_len{0};
 // -1: watched block not freed yet; 1: freed all-zero; 0: freed with content.
 std::atomic<int> g_watch_zeroed{-1};
+// Nonzero: watch the next allocation of exactly this many bytes.
+std::atomic<std::size_t> g_watch_next_len{0};
 
 void watch(const void* p, std::size_t len) {
   g_watch_zeroed.store(-1, std::memory_order_relaxed);
   g_watch_len.store(len, std::memory_order_relaxed);
   g_watch_ptr.store(p, std::memory_order_release);
+}
+
+void watch_next_allocation(std::size_t len) {
+  watch(nullptr, 0);
+  g_watch_next_len.store(len, std::memory_order_release);
+}
+
+void watch_if_armed(void* p, std::size_t n) noexcept {
+  std::size_t want = n;
+  if (g_watch_next_len.compare_exchange_strong(want, 0)) watch(p, n);
 }
 
 void check_freed(void* p) noexcept {
@@ -62,8 +79,19 @@ void check_freed(void* p) noexcept {
 
 }  // namespace
 
+// GCC inlines these replacements at STL call sites and then flags the
+// malloc-backed new against the free-backed delete as a mismatch — but that
+// pairing is exactly what a watching replacement allocator is (the
+// into_api_test idiom).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
 void* operator new(std::size_t n) {
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  if (void* p = std::malloc(n != 0 ? n : 1)) {
+    watch_if_armed(p, n);
+    return p;
+  }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
@@ -175,6 +203,42 @@ TEST(SecretWipe, KeyCopyAssignWipesTheOldStorage) {
                          (4 - key.pairs().size()) * sizeof(core::KeyPair)));
     watch(nullptr, 0);
   }
+}
+
+// --- block engine cores: per-pair ranges and K1 patterns wiped -------------
+
+// The cores' pair contexts (range tables, K1 patterns, K1) are one heap
+// block of L PairCtx entries; it must reach free() zeroed, whether the core
+// dies or a move-assignment replaces it.
+constexpr std::size_t kPairTableBytes = 4 * sizeof(core::detail::PairCtx);
+
+template <class Core, class... Args>
+void expect_pair_tables_wiped_at_destruction(Args&&... args) {
+  watch_next_allocation(kPairTableBytes);
+  std::optional<Core> core;
+  core.emplace(std::forward<Args>(args)...);
+  ASSERT_NE(g_watch_ptr.load(), nullptr) << "no pair-table allocation seen";
+  ASSERT_FALSE(all_zero(static_cast<const unsigned char*>(g_watch_ptr.load()), kPairTableBytes));
+  core.reset();
+  EXPECT_EQ(g_watch_zeroed.load(), 1) << "pair tables reached free() unwiped";
+}
+
+TEST(SecretWipe, CorePairTablesZeroedAtFree) {
+  const core::Key key = core::Key::parse("1-6,2-5,3-7,0-4");
+  expect_pair_tables_wiped_at_destruction<core::Encryptor>(key,
+                                                           core::make_lfsr_cover(16, 0xACE1));
+  expect_pair_tables_wiped_at_destruction<core::Decryptor>(key, 0);
+  expect_pair_tables_wiped_at_destruction<core::BlockEncryptor<core::FixedWindow>>(
+      key, core::make_lfsr_cover(16, 0xACE1));
+  expect_pair_tables_wiped_at_destruction<core::BlockDecryptor<core::FixedWindow>>(key, 0);
+}
+
+TEST(SecretWipe, CorePairTablesZeroedWhenMoveAssignmentReplacesThem) {
+  watch_next_allocation(kPairTableBytes);
+  core::Decryptor dec(core::Key::parse("1-6,2-5,3-7,0-4"), 0);
+  ASSERT_NE(g_watch_ptr.load(), nullptr) << "no pair-table allocation seen";
+  dec = core::Decryptor(core::Key::parse("0-7"), 0);
+  EXPECT_EQ(g_watch_zeroed.load(), 1) << "replaced pair tables reached free() unwiped";
 }
 
 // --- GeffeKeystream / Yaea: register states and seeds wiped ----------------

@@ -81,7 +81,6 @@ ALLOWED_THROWS_EVERYWHERE = {
 # them. Paths are repo-relative POSIX.
 RESTRICTED_THROW_ALLOWLIST = {
     "std::out_of_range": {
-        "src/util/bitstream.cpp",   # BitReader::read_bits under-read
         "src/lfsr/polynomials.cpp", # polynomial table domain [2,32]
     },
     "std::runtime_error": {
