@@ -15,10 +15,12 @@
 // table lookups. The reference-model sweep and the KAT fixtures run under
 // both forced engines in CI to pin this.
 //
-// Call sites routed through the seam: Lfsr::next_blocks (hiding-vector
-// blocks; LfsrCover::next_blocks and the MHHEA cover refill ride on it),
-// GeffeKeystream::next_bytes / xor_bytes (the YAEA-S datapath), and
-// Lfsr::step_bits' whole-degree runs (via next_block's leap tables).
+// Call sites routed through the seam, at every size: Lfsr::next_blocks
+// (hiding-vector blocks; LfsrCover::next_blocks and the MHHEA cover refill
+// ride on it) and GeffeKeystream::next_bytes / xor_bytes (the YAEA-S
+// datapath). Each runs full lane passes from two lane-passes up on a
+// multi-lane engine and hands the rest to one single-lane pass, so every
+// block and every whole keystream unit comes from a kernel.
 //
 // Engine selection happens once, at first use: cpuid picks the widest
 // supported engine, and the MHHEA_BACKEND environment variable

@@ -48,8 +48,8 @@ inline void lfsr_blocks_scalar_any(const LinearMapTables& leap, int degree,
 
 /// The next 64 output bits of a Fibonacci register starting at state `s`
 /// (bits LSB-first), advancing `s` by 64 steps. A Fibonacci state of a
-/// degree-d register IS the next d output bits (the PR-2/PR-4 invariant
-/// behind step_bits), so the window is the state plus deg-leapt copies of
+/// degree-d register IS the next d output bits (the stepping convention in
+/// lfsr.hpp), so the window is the state plus deg-leapt copies of
 /// it ORed in at d-bit offsets; bits past 64 fall off the shift. One
 /// upd-map application (M^64) then replaces 64 serial steps.
 inline std::uint64_t geffe_window64(std::uint32_t& s,

@@ -26,9 +26,6 @@ class RawCompressor final : public Compressor {
  public:
   [[nodiscard]] Method method() const noexcept override { return Method::raw; }
 
-  [[nodiscard]] std::size_t compressed_size(std::span<const std::uint8_t> in) override {
-    return in.size();
-  }
   [[nodiscard]] std::size_t max_compressed_size(std::size_t n) const noexcept override {
     return n;
   }
@@ -72,10 +69,6 @@ class LzssCompressor final : public Compressor {
  public:
   [[nodiscard]] Method method() const noexcept override { return Method::lzss; }
 
-  [[nodiscard]] std::size_t compressed_size(std::span<const std::uint8_t> in) override {
-    return run</*kEmit=*/false>(in, {});
-  }
-
   [[nodiscard]] std::size_t max_compressed_size(std::size_t n) const noexcept override {
     // All-literal stream: n literal bytes plus one flag byte per 8 items.
     return n + (n + 7) / 8;
@@ -89,7 +82,69 @@ class LzssCompressor final : public Compressor {
 
   std::size_t compress_into(std::span<const std::uint8_t> in,
                             std::span<std::uint8_t> out) override {
-    return run</*kEmit=*/true>(in, out);
+    const std::size_t n = in.size();
+    head_.assign(std::size_t{1} << kHashBits, kNil);
+    if (prev_.size() < n) prev_.resize(n);
+
+    std::size_t op = 0;
+    const auto put = [&](std::uint8_t b) {
+      if (op >= out.size()) throw_out_too_small("LzssCompressor::compress_into");
+      out[op++] = b;
+    };
+    const auto insert = [&](std::size_t pos) {
+      if (pos + kMinMatch > n) return;
+      const std::uint32_t h = hash3(in.data() + pos);
+      prev_[pos] = head_[h];
+      head_[h] = static_cast<std::uint32_t>(pos);
+    };
+
+    std::size_t ip = 0;
+    std::size_t flag_pos = 0;
+    std::uint8_t flag = 0;
+    int items = 0;
+    while (ip < n) {
+      if (items == 0) {
+        flag_pos = op;
+        flag = 0;
+        put(0);  // patched at group end
+      }
+      std::size_t best_len = 0;
+      std::size_t best_dist = 0;
+      if (ip + kMinMatch <= n) {
+        const std::size_t limit = std::min(kMaxMatch, n - ip);
+        std::uint32_t cand = head_[hash3(in.data() + ip)];
+        for (int chain = kMaxChain; cand != kNil && chain > 0; --chain, cand = prev_[cand]) {
+          const std::size_t dist = ip - cand;
+          if (dist > kWindow) break;  // chains are position-ordered
+          std::size_t len = 0;
+          while (len < limit && in[cand + len] == in[ip + len]) ++len;
+          if (len > best_len) {
+            best_len = len;
+            best_dist = dist;
+            if (len == limit) break;
+          }
+        }
+      }
+      if (best_len >= kMinMatch) {
+        const std::uint32_t dist1 = static_cast<std::uint32_t>(best_dist - 1);
+        const std::uint32_t len3 = static_cast<std::uint32_t>(best_len - kMinMatch);
+        put(static_cast<std::uint8_t>(dist1 & 0xFF));
+        put(static_cast<std::uint8_t>((dist1 >> 8) | (len3 << 4)));
+        for (std::size_t i = 0; i < best_len; ++i) insert(ip + i);
+        ip += best_len;
+      } else {
+        flag |= static_cast<std::uint8_t>(1u << items);
+        put(in[ip]);
+        insert(ip);
+        ++ip;
+      }
+      if (++items == 8) {
+        out[flag_pos] = flag;
+        items = 0;
+      }
+    }
+    if (items != 0) out[flag_pos] = flag;
+    return op;
   }
 
   std::size_t decompress_into(std::span<const std::uint8_t> in, std::size_t raw_size,
@@ -141,80 +196,6 @@ class LzssCompressor final : public Compressor {
     return (v * 0x9E3779B1u) >> (32 - kHashBits);
   }
 
-  /// The one matcher loop, emitting when `kEmit` and only counting
-  /// otherwise — compressed_size and compress_into cannot disagree.
-  template <bool kEmit>
-  std::size_t run(std::span<const std::uint8_t> in, std::span<std::uint8_t> out) {
-    const std::size_t n = in.size();
-    head_.assign(std::size_t{1} << kHashBits, kNil);
-    if (prev_.size() < n) prev_.resize(n);
-
-    std::size_t op = 0;
-    const auto put = [&](std::uint8_t b) {
-      if constexpr (kEmit) {
-        if (op >= out.size()) throw_out_too_small("LzssCompressor::compress_into");
-        out[op] = b;
-      }
-      ++op;
-    };
-    const auto insert = [&](std::size_t pos) {
-      if (pos + kMinMatch > n) return;
-      const std::uint32_t h = hash3(in.data() + pos);
-      prev_[pos] = head_[h];
-      head_[h] = static_cast<std::uint32_t>(pos);
-    };
-
-    std::size_t ip = 0;
-    std::size_t flag_pos = 0;
-    std::uint8_t flag = 0;
-    int items = 0;
-    while (ip < n) {
-      if (items == 0) {
-        flag_pos = op;
-        flag = 0;
-        put(0);  // patched (or merely counted) at group end
-      }
-      std::size_t best_len = 0;
-      std::size_t best_dist = 0;
-      if (ip + kMinMatch <= n) {
-        const std::size_t limit = std::min(kMaxMatch, n - ip);
-        std::uint32_t cand = head_[hash3(in.data() + ip)];
-        for (int chain = kMaxChain; cand != kNil && chain > 0; --chain, cand = prev_[cand]) {
-          const std::size_t dist = ip - cand;
-          if (dist > kWindow) break;  // chains are position-ordered
-          std::size_t len = 0;
-          while (len < limit && in[cand + len] == in[ip + len]) ++len;
-          if (len > best_len) {
-            best_len = len;
-            best_dist = dist;
-            if (len == limit) break;
-          }
-        }
-      }
-      if (best_len >= kMinMatch) {
-        const std::uint32_t dist1 = static_cast<std::uint32_t>(best_dist - 1);
-        const std::uint32_t len3 = static_cast<std::uint32_t>(best_len - kMinMatch);
-        put(static_cast<std::uint8_t>(dist1 & 0xFF));
-        put(static_cast<std::uint8_t>((dist1 >> 8) | (len3 << 4)));
-        for (std::size_t i = 0; i < best_len; ++i) insert(ip + i);
-        ip += best_len;
-      } else {
-        flag |= static_cast<std::uint8_t>(1u << items);
-        put(in[ip]);
-        insert(ip);
-        ++ip;
-      }
-      if (++items == 8) {
-        if constexpr (kEmit) out[flag_pos] = flag;
-        items = 0;
-      }
-    }
-    if (items != 0) {
-      if constexpr (kEmit) out[flag_pos] = flag;
-    }
-    return op;
-  }
-
   // Reusable match-search scratch (head per 3-byte hash, previous link per
   // input position): allocation-free once warmed to the largest input seen.
   std::vector<std::uint32_t> head_;
@@ -233,15 +214,6 @@ class LzssCompressor final : public Compressor {
 class HuffmanCompressor final : public Compressor {
  public:
   [[nodiscard]] Method method() const noexcept override { return Method::huffman; }
-
-  [[nodiscard]] std::size_t compressed_size(std::span<const std::uint8_t> in) override {
-    build_lengths(in);
-    std::uint64_t bits = 0;
-    for (std::size_t s = 0; s < 256; ++s) {
-      bits += static_cast<std::uint64_t>(freq_[s]) * len_[s];
-    }
-    return kTableBytes + static_cast<std::size_t>((bits + 7) / 8);
-  }
 
   [[nodiscard]] std::size_t max_compressed_size(std::size_t n) const noexcept override {
     // No code is longer than kMaxCodeBits after the length limit.

@@ -96,11 +96,8 @@ class Compressor {
 
   [[nodiscard]] virtual Method method() const noexcept = 0;
 
-  /// Exact stream bytes compress_into would produce for `in` (a counting
-  /// pass over the same algorithm — same cost class as compressing).
-  [[nodiscard]] virtual std::size_t compressed_size(std::span<const std::uint8_t> in) = 0;
-  /// Cheap closed-form worst case for an `n`-byte input; never smaller than
-  /// compressed_size of any `n`-byte input.
+  /// Cheap closed-form worst case for an `n`-byte input: a buffer this size
+  /// always holds compress_into's stream, whose exact size is its return.
   [[nodiscard]] virtual std::size_t max_compressed_size(std::size_t n) const noexcept = 0;
   /// Upper bound on the decoded size any well-formed `stream_bytes`-byte
   /// stream can declare — the sanity cap an opener checks a received raw
@@ -108,7 +105,7 @@ class Compressor {
   [[nodiscard]] virtual std::size_t max_decoded_size(std::size_t stream_bytes) const noexcept = 0;
 
   /// Compress `in` into `out`, returning the stream bytes written.
-  /// std::length_error when `out` is too small (size with compressed_size /
+  /// std::length_error when `out` is too small (size it with
   /// max_compressed_size).
   virtual std::size_t compress_into(std::span<const std::uint8_t> in,
                                     std::span<std::uint8_t> out) = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/util/bits.hpp"
 #include "src/util/secret.hpp"
 
 namespace mhhea::crypto {
@@ -43,7 +42,7 @@ void GeffeKeystream::xor_bytes(std::span<const std::uint8_t> in,
   run(in.data(), out);
 }
 
-void GeffeKeystream::ensure_lane_tables() {
+void GeffeKeystream::warm() {
   if (lanes_ != nullptr) return;
   auto lt = std::make_shared<LaneTables>();
   lfsr::Lfsr* regs[3] = {&a_, &b_, &c_};
@@ -61,22 +60,20 @@ void GeffeKeystream::ensure_lane_tables() {
 void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
   static_assert(kDegreeA <= 24 && kDegreeB <= 24 && kDegreeC <= 24,
                 "the backend Geffe kernel applies three state bytes");
-  std::size_t done = 0;
-  // Lane route: split the run into contiguous lane-pass ranges and step all
-  // lanes' registers in lockstep on the active backend. Worth it from two
-  // lane-passes up; engages at 2 KiB runs and covers a 16 KiB message with
-  // exactly two full 8-lane passes.
+  warm();
   const backend::Backend& be = backend::active();
-  const std::size_t lane_cap = be.lanes();
   constexpr std::size_t kPassBytes = backend::kGeffeLaneUnits * 8;
-  if (lane_cap > 1 && out.size() >= 2 * kPassBytes) {
-    ensure_lane_tables();
-    std::uint32_t a[backend::kMaxLanes], b[backend::kMaxLanes], c[backend::kMaxLanes];
+  std::uint32_t a[backend::kMaxLanes] = {static_cast<std::uint32_t>(a_.state())};
+  std::uint32_t b[backend::kMaxLanes] = {static_cast<std::uint32_t>(b_.state())};
+  std::uint32_t c[backend::kMaxLanes] = {static_cast<std::uint32_t>(c_.state())};
+  std::size_t done = 0;
+  // Full lane passes: split the run into contiguous lane-pass ranges and
+  // step all lanes' registers in lockstep. Worth it from two lane-passes up;
+  // engages at 2 KiB runs and covers a 16 KiB message with exactly two full
+  // 8-lane passes.
+  if (be.lanes() > 1) {
     while (out.size() - done >= 2 * kPassBytes) {
-      const std::size_t lanes = std::min(lane_cap, (out.size() - done) / kPassBytes);
-      a[0] = static_cast<std::uint32_t>(a_.state());
-      b[0] = static_cast<std::uint32_t>(b_.state());
-      c[0] = static_cast<std::uint32_t>(c_.state());
+      const std::size_t lanes = std::min(be.lanes(), (out.size() - done) / kPassBytes);
       // Lane l starts where lane l-1 will end: one lane-stride application
       // per register, exact by GF(2) linearity.
       for (std::size_t l = 1; l < lanes; ++l) {
@@ -86,43 +83,25 @@ void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
       }
       be.geffe_units(lanes_->kernel, a, b, c, lanes, in != nullptr ? in + done : nullptr,
                      out.data() + done, backend::kGeffeLaneUnits);
-      a_.set_state(a[lanes - 1]);
-      b_.set_state(b[lanes - 1]);
-      c_.set_state(c[lanes - 1]);
+      a[0] = a[lanes - 1];
+      b[0] = b[lanes - 1];
+      c[0] = c[lanes - 1];
       done += lanes * kPassBytes;
     }
   }
-  // Word-wise remainder: 64 bits per register through the step_bits leap
-  // machinery, one word-wise combine, XOR fused when `in` is given.
-  std::size_t i = done;
-  for (; i + 8 <= out.size(); i += 8) {
-    const std::uint64_t a = a_.step_bits(64);
-    const std::uint64_t b = b_.step_bits(64);
-    const std::uint64_t c = c_.step_bits(64);
-    std::uint64_t z = (a & b) | (~a & c);
-    if (in != nullptr) z ^= util::load_le(in + i, 8);
-    util::store_le(out.data() + i, z, 8);
+  // Every remaining whole 8-byte unit: one single-lane pass from the
+  // registers' own states.
+  const std::size_t units = (out.size() - done) / 8;
+  be.geffe_units(lanes_->kernel, a, b, c, 1, in != nullptr ? in + done : nullptr,
+                 out.data() + done, units);
+  a_.set_state(a[0]);
+  b_.set_state(b[0]);
+  c_.set_state(c[0]);
+  // The tail under 8 bytes: the normative bit-serial generator.
+  for (done += units * 8; done < out.size(); ++done) {
+    const std::uint8_t k = next_byte();
+    out[done] = in != nullptr ? static_cast<std::uint8_t>(in[done] ^ k) : k;
   }
-  if (i < out.size()) {
-    const int n = static_cast<int>(out.size() - i) * 8;
-    const std::uint64_t a = a_.step_bits(n);
-    const std::uint64_t b = b_.step_bits(n);
-    const std::uint64_t c = c_.step_bits(n);
-    std::uint64_t z = (a & b) | (~a & c);
-    if (in != nullptr) z ^= util::load_le(in + i, static_cast<int>(out.size() - i));
-    util::store_le(out.data() + i, z, static_cast<int>(out.size() - i));
-  }
-}
-
-void GeffeKeystream::warm() {
-  for (lfsr::Lfsr* r : {&a_, &b_, &c_}) {
-    const std::uint64_t s = r->state();
-    (void)r->next_block();  // builds the leap tables
-    r->set_state(s);
-  }
-  // Lane tables only pay off on a multi-lane backend; a later backend
-  // switch still works — run() builds them lazily per instance then.
-  if (backend::active().lanes() > 1) ensure_lane_tables();
 }
 
 Yaea::Yaea(KeyType key)

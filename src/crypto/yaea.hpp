@@ -58,16 +58,16 @@ class GeffeKeystream {
   [[nodiscard]] std::uint8_t next_byte() noexcept;
 
   /// Fill `out` with the next out.size() keystream bytes — the word-wide
-  /// hot path. Runs of at least two lane-passes route through the active
-  /// backend as independent lanes (each lane's three registers seeded by
+  /// hot path. Every whole 8-byte unit comes from the active backend's
+  /// geffe_units kernel: runs of at least two lane-passes on a multi-lane
+  /// engine go as independent lanes (each lane's three registers seeded by
   /// one lane-stride table application, then all lanes stepped in
-  /// lockstep); the remainder pulls 64 bits per register through the
-  /// Lfsr::step_bits leap machinery and combines them with one word-wise
-  /// z = (a & b) | (~a & c), emitting 8 bytes at a time (LSB-first bit
-  /// order makes byte k of the combined word keystream byte k). Bit-exact
-  /// with repeated next_byte() calls, including the register states left
-  /// behind, so bulk and serial pulls can be interleaved freely. An empty
-  /// span is a no-op.
+  /// lockstep), and the remaining units as one single-lane pass from the
+  /// registers' own states (LSB-first bit order makes byte k of a 64-bit
+  /// unit keystream byte k). Only a tail under 8 bytes runs bit-serially
+  /// through next_byte(). Bit-exact with repeated next_byte() calls,
+  /// including the register states left behind, so bulk and serial pulls
+  /// can be interleaved freely. An empty span is a no-op.
   void next_bytes(std::span<std::uint8_t> out);
 
   /// out = in XOR keystream, fused into the backend kernels (the YAEA-S
@@ -77,8 +77,8 @@ class GeffeKeystream {
   /// stream exactly like next_bytes(out).
   void xor_bytes(std::span<const std::uint8_t> in, std::span<std::uint8_t> out);
 
-  /// Build the component registers' leap tables and the backend lane
-  /// tables in place without advancing the stream. Copies share the built
+  /// Build the backend kernel tables in place without advancing the
+  /// stream (the first bulk pull does it otherwise). Copies share the built
   /// tables, so warming one long-lived prototype makes per-message copies
   /// start on the fast path immediately.
   void warm();
@@ -96,7 +96,6 @@ class GeffeKeystream {
     backend::GeffeKernel kernel{};
   };
 
-  void ensure_lane_tables();
   /// Shared body of next_bytes (in == nullptr: raw keystream) and
   /// xor_bytes (in: XOR source of out.size() bytes).
   void run(const std::uint8_t* in, std::span<std::uint8_t> out);

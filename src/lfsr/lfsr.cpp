@@ -28,11 +28,9 @@ void expand_columns(const std::array<std::uint32_t, 32>& basis, int degree,
 
 }  // namespace
 
-Lfsr::Lfsr(Polynomial poly, std::uint64_t seed, Form form)
+Lfsr::Lfsr(Polynomial poly, std::uint64_t seed)
     : poly_(poly),
-      form_(form),
       fib_mask_(poly.mask & util::mask64(poly.degree)),
-      galois_mask_(poly.mask >> 1),
       state_(seed & util::mask64(poly.degree)) {
   if (poly.degree < 2 || poly.degree > 32 || util::get_bit(poly.mask, 0) == 0 ||
       util::get_bit(poly.mask, poly.degree) == 0) {
@@ -45,39 +43,9 @@ Lfsr::Lfsr(Polynomial poly, std::uint64_t seed, Form form)
 
 bool Lfsr::step() noexcept {
   const bool out = (state_ & 1) != 0;
-  if (form_ == Form::fibonacci) {
-    const std::uint64_t fb = util::parity64(state_ & fib_mask_);
-    state_ = (state_ >> 1) | (fb << (poly_.degree - 1));
-  } else {
-    state_ >>= 1;
-    if (out) state_ ^= galois_mask_;
-  }
+  const std::uint64_t fb = util::parity64(state_ & fib_mask_);
+  state_ = (state_ >> 1) | (fb << (poly_.degree - 1));
   return out;
-}
-
-std::uint64_t Lfsr::step_bits(int n) {
-  std::uint64_t v = 0;
-  int filled = 0;
-  if (form_ == Form::fibonacci) {
-    // Whole-degree runs: the Fibonacci state is the next `degree` output
-    // bits, so emit it verbatim and leap the register forward in one
-    // table-lookup chain. (next_block() is bit-identical to advance(degree).)
-    while (n - filled >= poly_.degree) {
-      v |= state_ << filled;
-      filled += poly_.degree;
-      (void)next_block();
-    }
-    // Sub-degree tail: emit the low bits of the state, then advance the
-    // register by exactly that many serial steps so interleaved callers see
-    // the same stream as n plain step() calls.
-    if (filled < n) {
-      v |= (state_ & util::mask64(n - filled)) << filled;
-      for (int i = filled; i < n; ++i) (void)step();
-    }
-    return v;
-  }
-  for (int i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(step()) << i;
-  return v;
 }
 
 void Lfsr::advance(std::uint64_t n) noexcept {
@@ -87,11 +55,11 @@ void Lfsr::advance(std::uint64_t n) noexcept {
 const Lfsr::StepMatrix& Lfsr::step_matrix() {
   if (step_m_ == nullptr) {
     // Column b: where basis state 1<<b lands after a single step() — probing
-    // the register keeps both forms bit-exact. Cached and shared by copies
-    // like the leap tables.
+    // the register keeps the map bit-exact with it. Cached and shared by
+    // copies like the leap tables.
     auto m = std::make_shared<StepMatrix>();
     for (int b = 0; b < poly_.degree; ++b) {
-      Lfsr probe(poly_, std::uint64_t{1} << b, form_);
+      Lfsr probe(poly_, std::uint64_t{1} << b);
       (void)probe.step();
       (*m)[static_cast<std::size_t>(b)] = static_cast<std::uint32_t>(probe.state_);
     }
@@ -143,10 +111,10 @@ const Lfsr::LeapTables& Lfsr::leap_tables() {
     auto tables = std::make_shared<LeapTables>();
     // Column b of the degree-step transition matrix: the state a single-bit
     // start state reaches after `degree` plain steps. Deriving the tables
-    // from step() itself guarantees bit-exactness for both register forms.
+    // from step() itself guarantees bit-exactness.
     std::array<std::uint32_t, 32> basis{};
     for (int b = 0; b < poly_.degree; ++b) {
-      Lfsr probe(poly_, std::uint64_t{1} << b, form_);
+      Lfsr probe(poly_, std::uint64_t{1} << b);
       probe.advance(static_cast<std::uint64_t>(poly_.degree));
       basis[static_cast<std::size_t>(b)] = static_cast<std::uint32_t>(probe.state_);
     }
@@ -170,36 +138,30 @@ std::uint64_t Lfsr::next_block() {
 
 void Lfsr::next_blocks(std::span<std::uint64_t> out) {
   const LeapTables& t = leap_tables();
-  std::size_t done = 0;
-  // Lane route: worth it from two lane-passes up (below that the seeding
-  // application per lane outweighs the lockstep win).
   const backend::Backend& be = backend::active();
-  const std::size_t lane_cap = be.lanes();
   constexpr std::size_t kPass = backend::kLfsrLaneBlocks;
-  if (lane_cap > 1 && out.size() >= 2 * kPass) {
+  std::uint32_t states[backend::kMaxLanes] = {static_cast<std::uint32_t>(state_)};
+  std::size_t done = 0;
+  // Full lane passes from two lane-passes up (below that the seeding
+  // application per lane outweighs the lockstep win).
+  if (be.lanes() > 1 && out.size() >= 2 * kPass) {
     if (lane_adv_ == nullptr) {
       lane_adv_ = std::make_shared<const LeapTables>(
           power_tables(kPass * static_cast<std::uint64_t>(poly_.degree)));
     }
-    std::uint32_t states[backend::kMaxLanes];
     while (out.size() - done >= 2 * kPass) {
-      const std::size_t lanes = std::min(lane_cap, (out.size() - done) / kPass);
+      const std::size_t lanes = std::min(be.lanes(), (out.size() - done) / kPass);
       // Lane l starts where lane l-1 will end: one lane-stride application
       // per seed, exact by GF(2) linearity (no replay).
-      states[0] = static_cast<std::uint32_t>(state_);
       for (std::size_t l = 1; l < lanes; ++l) states[l] = lane_adv_->apply(states[l - 1]);
       be.lfsr_blocks(t, poly_.degree, states, lanes, out.data() + done, kPass);
-      state_ = states[lanes - 1];  // final block of the last lane
+      states[0] = states[lanes - 1];  // final block of the last lane
       done += lanes * kPass;
     }
   }
-  auto s = static_cast<std::uint32_t>(state_);
-  if (poly_.degree <= 16) {
-    for (std::uint64_t& b : out.subspan(done)) b = s = t.apply<2>(s);
-  } else {
-    for (std::uint64_t& b : out.subspan(done)) b = s = t.apply<4>(s);
-  }
-  state_ = s;
+  // The rest is one single-lane pass from the register's own state.
+  be.lfsr_blocks(t, poly_.degree, states, 1, out.data() + done, out.size() - done);
+  state_ = states[0];
 }
 
 void Lfsr::set_state(std::uint64_t state) {
@@ -213,7 +175,7 @@ void Lfsr::set_state(std::uint64_t state) {
 void Lfsr::wipe_state() noexcept { util::secure_wipe_object(state_); }
 
 Lfsr make_hiding_vector_lfsr(std::uint16_t seed) {
-  return Lfsr(primitive_polynomial(16), seed, Lfsr::Form::fibonacci);
+  return Lfsr(primitive_polynomial(16), seed);
 }
 
 }  // namespace mhhea::lfsr

@@ -1,18 +1,19 @@
-// Linear Feedback Shift Registers (Fibonacci and Galois forms).
+// Linear Feedback Shift Register (Fibonacci form).
 //
 // This is the paper's "Random Number Generator" module (§3.6): the hiding
-// vector V is read from a maximal-length LFSR. Both the software reference
-// model (src/core) and the RTL/netlist models (src/arch, src/gates) step the
-// *same* Fibonacci LFSR so ciphertexts are bit-exact across all three levels
-// of the stack — that equivalence is what the co-simulation tests check.
+// vector V is read from a maximal-length LFSR. The bit-serial step() is the
+// normative register; every faster path (the degree-leap next_block, the
+// power maps the backend kernels gather from) is derived from it by probing
+// step() on basis states, so all of them are bit-exact with it by
+// construction — the differential reference model and the KAT fixtures pin
+// that.
 //
-// Stepping conventions (derived from the polynomial, see lfsr_test.cpp):
+// Stepping convention (derived from the polynomial, see lfsr_test.cpp):
 //   state bit i holds sequence element s_{n+i}; the oldest bit (s_n) is
-//   bit 0 and is emitted by step(); the new bit s_{n+d} enters at bit d-1.
-//   Fibonacci: s_{n+d} = parity(state & (mask & ~x^d term)).
-//   Galois:    out = bit 0; state >>= 1; if out, state ^= (mask >> 1).
-// Both forms realise a sequence whose period is the order of x mod the
-// polynomial — 2^d - 1 when the polynomial is primitive.
+//   bit 0 and is emitted by step(); the new bit s_{n+d} enters at bit d-1,
+//   s_{n+d} = parity(state & (mask & ~x^d term)).
+// The sequence's period is the order of x mod the polynomial — 2^d - 1 when
+// the polynomial is primitive.
 #pragma once
 
 #include <array>
@@ -27,28 +28,13 @@ namespace mhhea::lfsr {
 
 class Lfsr {
  public:
-  enum class Form { fibonacci, galois };
-
   /// Construct with a feedback polynomial and a non-zero seed (low `degree`
   /// bits are used). Throws std::invalid_argument on a zero seed or a
   /// malformed polynomial (an LFSR parked at state 0 never leaves it).
-  Lfsr(Polynomial poly, std::uint64_t seed, Form form = Form::fibonacci);
+  Lfsr(Polynomial poly, std::uint64_t seed);
 
   /// Shift once; returns the output bit (the oldest state bit).
   bool step() noexcept;
-
-  /// Shift `n` (<=64) times; output bits packed LSB-first (first bit out at
-  /// bit 0 of the result).
-  ///
-  /// Fibonacci registers take the word-wide fast path: state bit i holds
-  /// sequence element s_{n+i} (see the stepping conventions above), so the
-  /// next `degree` output bits ARE the current state and a whole
-  /// degree-sized run costs one leap-table application (next_block) instead
-  /// of `degree` serial shifts. Galois registers fall back to bit-serial
-  /// stepping — their state is not a window of the output sequence. Both
-  /// paths are bit-identical to n plain step() calls; the leap tables are
-  /// built lazily on first use (hence not noexcept).
-  [[nodiscard]] std::uint64_t step_bits(int n);
 
   /// Advance `n` steps, discarding output.
   void advance(std::uint64_t n) noexcept;
@@ -64,16 +50,18 @@ class Lfsr {
   [[nodiscard]] std::uint64_t next_block();
 
   /// Fill `out` with successive next_block() values (the word-at-a-time
-  /// hiding-vector port: one table-lookup chain per block, no per-call
-  /// dispatch).
+  /// hiding-vector port: one table-lookup chain per block, one backend
+  /// call per pass).
   ///
-  /// Spans of at least two lane-passes (2 * backend::kLfsrLaneBlocks
-  /// blocks) route through the active backend: the span is split into
+  /// Every block comes from the active backend's lfsr_blocks kernel. Spans
+  /// of at least two lane-passes (2 * backend::kLfsrLaneBlocks blocks) on a
+  /// multi-lane engine first run full passes: the span is split into
   /// contiguous lanes, each lane's start state seeded by one application of
   /// the precomputed lane-stride map (M^(kLfsrLaneBlocks * degree)), and
-  /// all lanes stepped in lockstep — 8 per AVX2 register. Bit-identical to
-  /// the serial chain for every span size and backend, including the state
-  /// left behind.
+  /// all lanes stepped in lockstep — 8 per AVX2 register. The rest (all of
+  /// it on the scalar engine) is one single-lane pass starting at the
+  /// register's own state. Bit-identical to repeated next_block() for every
+  /// span size and backend, including the state left behind.
   void next_blocks(std::span<std::uint64_t> out);
 
   /// Jump to an explicit state (low `degree` bits; must be non-zero after
@@ -91,7 +79,6 @@ class Lfsr {
 
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
   [[nodiscard]] int degree() const noexcept { return poly_.degree; }
-  [[nodiscard]] Form form() const noexcept { return form_; }
   [[nodiscard]] const Polynomial& polynomial() const noexcept { return poly_; }
 
   /// Maximum period for this degree: 2^degree - 1.
@@ -108,11 +95,11 @@ class Lfsr {
   /// Byte tables of the `steps`-step transition map M^steps, built by
   /// square-and-multiply on the probed one-step matrix — the general form
   /// of the leap tables (steps == degree). The single-step transition is
-  /// GF(2)-linear for both register forms and the matrix is derived by
-  /// probing step() on basis states, so applying the tables is bit-identical
-  /// to advance(steps). This is how the Geffe kernel's 64-step update map
-  /// and the lane-stride seeding maps are made; each call builds fresh
-  /// tables (callers cache what they keep).
+  /// GF(2)-linear and the matrix is derived by probing step() on basis
+  /// states, so applying the tables is bit-identical to advance(steps).
+  /// This is how the Geffe kernel's 64-step update map and the lane-stride
+  /// seeding maps are made; each call builds fresh tables (callers cache
+  /// what they keep).
   [[nodiscard]] backend::LinearMapTables power_tables(std::uint64_t steps);
 
  private:
@@ -129,9 +116,7 @@ class Lfsr {
   static std::uint32_t mat_vec(const StepMatrix& a, std::uint32_t v, int d) noexcept;
 
   Polynomial poly_;
-  Form form_;
-  std::uint64_t fib_mask_;     // taps for the Fibonacci feedback parity
-  std::uint64_t galois_mask_;  // XOR constant for the Galois form
+  std::uint64_t fib_mask_;  // taps for the feedback parity
   std::uint64_t state_;
   std::shared_ptr<const LeapTables> leap_;    // built lazily, shared by copies
   std::shared_ptr<const StepMatrix> step_m_;  // built lazily, shared by copies
@@ -140,8 +125,8 @@ class Lfsr {
   std::shared_ptr<const LeapTables> lane_adv_;
 };
 
-/// The paper's hiding-vector generator: degree-16 primitive LFSR, Fibonacci
-/// form. Seed must be non-zero in the low 16 bits.
+/// The paper's hiding-vector generator: degree-16 primitive LFSR. Seed must
+/// be non-zero in the low 16 bits.
 [[nodiscard]] Lfsr make_hiding_vector_lfsr(std::uint16_t seed);
 
 }  // namespace mhhea::lfsr

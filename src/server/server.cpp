@@ -195,6 +195,7 @@ ServerStats Server::stats() const {
   s.requests_error = requests_error_.load();
   s.shed = shed_.load();
   s.timeouts = timeouts_.load();
+  s.accept_failures = accept_failures_.load();
   return s;
 }
 
@@ -219,7 +220,12 @@ void Server::update_epoll(const std::shared_ptr<Conn>& conn) {
 void Server::handle_accept() {
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient accept failure: next wakeup
+    if (fd < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      accept_failures_.fetch_add(1);
+      if (errno == EMFILE || errno == ENFILE) set_accepting(false);
+      return;  // anything else is transient: the next wakeup retries
+    }
     if (conns_.size() >= static_cast<std::size_t>(cfg_.max_connections)) {
       // Bounded accept: over the cap the daemon refuses outright rather
       // than keeping a connection it cannot serve.
@@ -256,6 +262,16 @@ void Server::handle_accept() {
   }
 }
 
+void Server::set_accepting(bool on) {
+  if (accepting_ == on) return;
+  epoll_event ev{};
+  ev.events = on ? EPOLLIN : 0u;
+  ev.data.fd = listen_fd_;
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+  accepting_ = on;
+  if (!on) accept_paused_at_ = Clock::now();
+}
+
 void Server::queue_response(const std::shared_ptr<Conn>& conn, Status status,
                             std::span<const std::uint8_t> body) {
   append_wbuf(conn, encode_response(status, body));
@@ -272,8 +288,10 @@ void Server::append_wbuf(const std::shared_ptr<Conn>& conn,
 
 void Server::handle_writable(const std::shared_ptr<Conn>& conn) {
   while (conn->woff < conn->wbuf.size()) {
-    const ssize_t n = ::write(conn->fd, conn->wbuf.data() + conn->woff,
-                              conn->wbuf.size() - conn->woff);
+    // MSG_NOSIGNAL: a peer that hung up makes this fail with EPIPE instead
+    // of raising SIGPIPE, whose default action would kill the process.
+    const ssize_t n = ::send(conn->fd, conn->wbuf.data() + conn->woff,
+                             conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
     if (n > 0) {
       conn->woff += static_cast<std::size_t>(n);
       conn->write_since = Clock::now();  // progress resets the stall clock
@@ -451,6 +469,7 @@ void Server::close_conn(const std::shared_ptr<Conn>& conn) {
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conns_.erase(conn->fd);
+  set_accepting(true);  // a freed fd lets a paused listener accept again
 }
 
 void Server::sweep_timeouts() {
@@ -513,6 +532,11 @@ void Server::io_loop() {
     }
     drain_completions();
     sweep_timeouts();
+    // A listener paused on fd exhaustion retries once per tick even when no
+    // connection of ours closes: the fds may come free elsewhere.
+    if (!accepting_ && Clock::now() - accept_paused_at_ >= std::chrono::milliseconds(tick_ms)) {
+      set_accepting(true);
+    }
   }
   // Graceful drain: stop reading, let in-flight crypto finish so executor
   // tasks never touch freed server or connection state, then close

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -82,6 +83,7 @@ struct ServerStats {
   std::uint64_t requests_error = 0;  // kBadRequest/kAuthFailed/kReplayed/kTooLarge/kInternal
   std::uint64_t shed = 0;            // kOverloaded responses
   std::uint64_t timeouts = 0;        // connections cut by the request timeout
+  std::uint64_t accept_failures = 0; // accept4 errors other than EAGAIN (EMFILE, ...)
 };
 
 class Server {
@@ -124,6 +126,10 @@ class Server {
   void close_conn(const std::shared_ptr<Conn>& conn);
   void sweep_timeouts();
   void update_epoll(const std::shared_ptr<Conn>& conn);
+  /// Arm or disarm EPOLLIN on the listener. Out of fds, a level-triggered
+  /// listener would report the queued connection again at once, forever;
+  /// accept is paused instead until a connection closes or a tick passes.
+  void set_accepting(bool on);
 
   ServerConfig cfg_;
   int listen_fd_ = -1;
@@ -136,6 +142,9 @@ class Server {
   std::mutex lifecycle_mu_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
+  // Listener arming, I/O thread only (see set_accepting).
+  bool accepting_ = true;
+  std::chrono::steady_clock::time_point accept_paused_at_;
 
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // I/O thread only
   // Admitted crypto tasks not yet fully finished. Incremented on the I/O
@@ -157,6 +166,7 @@ class Server {
   std::atomic<std::uint64_t> requests_error_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> timeouts_{0};
+  std::atomic<std::uint64_t> accept_failures_{0};
 };
 
 }  // namespace mhhea::server

@@ -6,6 +6,7 @@
 // host (or build) has no AVX2 engine, so the suite is green on any runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -110,25 +111,31 @@ TEST(BackendDispatch, EnvOverrideHonored) {
 // ------------------------------------------------------------- lfsr lanes
 
 TEST(BackendParity, LfsrNextBlocksMatchesSerialOnBothEngines) {
-  // Sizes straddle the lane threshold (2 * kLfsrLaneBlocks) and leave
-  // ragged lane/scalar tails; degrees cover 2..4 state bytes.
-  const std::size_t sizes[] = {0, 1, 255, 511, 512, 513, 2048, 4099, 10000};
+  // Every block count through two lane-passes (2 * kLfsrLaneBlocks) plus a
+  // ragged tail — the single-lane pass alone, and full lane passes followed
+  // by it — then spans of several passes; degrees cover 2..4 state bytes.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 2 * backend::kLfsrLaneBlocks + 8; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {2048, 4099, 10000});
   for (const int degree : {16, 17, 23, 32}) {
-    for (const std::size_t n : sizes) {
-      // Serial reference: next_block() one at a time, scalar engine pinned.
-      std::vector<std::uint64_t> ref(n);
-      lfsr::Lfsr serial(lfsr::primitive_polynomial(degree), 0xACE1);
-      for (auto& b : ref) b = serial.next_block();
-      for (const char* engine : {"scalar", "avx2"}) {
-        if (engine == std::string_view("avx2") && !avx2_usable()) continue;
-        ScopedBackend forced(engine);
-        ASSERT_TRUE(forced.ok());
-        lfsr::Lfsr reg(lfsr::primitive_polynomial(degree), 0xACE1);
+    // Serial reference: next_block() one at a time.
+    const lfsr::Lfsr proto(lfsr::primitive_polynomial(degree), 0xACE1);
+    lfsr::Lfsr serial = proto;
+    std::vector<std::uint64_t> ref(sizes.back());
+    for (auto& b : ref) b = serial.next_block();
+    for (const char* engine : {"scalar", "avx2"}) {
+      if (engine == std::string_view("avx2") && !avx2_usable()) continue;
+      ScopedBackend forced(engine);
+      ASSERT_TRUE(forced.ok());
+      for (const std::size_t n : sizes) {
+        lfsr::Lfsr reg = proto;
         std::vector<std::uint64_t> got(n);
         reg.next_blocks(got);
-        EXPECT_EQ(got, ref) << "degree=" << degree << " n=" << n << " " << engine;
-        // The state left behind must match too (bulk/serial interleaving).
-        EXPECT_EQ(reg.state(), serial.state())
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin()))
+            << "degree=" << degree << " n=" << n << " " << engine;
+        // The state left behind must match too (bulk/serial interleaving):
+        // a block is the register state after it.
+        ASSERT_EQ(reg.state(), n == 0 ? proto.state() : ref[n - 1])
             << "degree=" << degree << " n=" << n << " " << engine;
       }
     }
@@ -138,28 +145,35 @@ TEST(BackendParity, LfsrNextBlocksMatchesSerialOnBothEngines) {
 // ------------------------------------------------------------- geffe lanes
 
 TEST(BackendParity, GeffeKeystreamMatchesBitSerialOnBothEngines) {
-  const std::size_t sizes[] = {0, 1, 7, 8, 63, 2047, 2048, 2049, 16384, 20000};
-  for (const std::size_t n : sizes) {
-    std::vector<std::uint8_t> ref(n);
-    crypto::GeffeKeystream serial(0x1ACE, 0x2BEEF, 0x3CAFE);
-    for (auto& b : ref) b = serial.next_byte();
-    const std::uint8_t ref_after = serial.next_byte();  // byte n, for interleaving
-    for (const char* engine : {"scalar", "avx2"}) {
-      if (engine == std::string_view("avx2") && !avx2_usable()) continue;
-      ScopedBackend forced(engine);
-      ASSERT_TRUE(forced.ok());
-      crypto::GeffeKeystream ks(0x1ACE, 0x2BEEF, 0x3CAFE);
+  // Every byte length through two lane-passes plus two units — full lane
+  // passes, the single-lane unit pass and every sub-unit tail — then runs
+  // that take several full passes.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 2 * backend::kGeffeLaneUnits * 8 + 16; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {16384, 20000});
+  // Bit-serial reference, one byte past the longest run for interleaving.
+  std::vector<std::uint8_t> ref(sizes.back() + 1);
+  crypto::GeffeKeystream serial(0x1ACE, 0x2BEEF, 0x3CAFE);
+  for (auto& b : ref) b = serial.next_byte();
+  for (const char* engine : {"scalar", "avx2"}) {
+    if (engine == std::string_view("avx2") && !avx2_usable()) continue;
+    ScopedBackend forced(engine);
+    ASSERT_TRUE(forced.ok());
+    crypto::GeffeKeystream proto(0x1ACE, 0x2BEEF, 0x3CAFE);
+    proto.warm();
+    for (const std::size_t n : sizes) {
+      crypto::GeffeKeystream ks = proto;
       std::vector<std::uint8_t> got(n);
       ks.next_bytes(got);
-      EXPECT_EQ(got, ref) << "n=" << n << " " << engine;
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin())) << "n=" << n << " " << engine;
       // Bulk then serial: the registers must sit exactly where the
       // bit-serial generator's do.
-      EXPECT_EQ(ks.next_byte(), ref_after) << "n=" << n << " " << engine;
+      ASSERT_EQ(ks.next_byte(), ref[n]) << "n=" << n << " " << engine;
       // xor_bytes == next_bytes XOR input, in place.
       util::Xoshiro256 rng(0xF00D + n);
       std::vector<std::uint8_t> msg = random_message(rng, n);
       std::vector<std::uint8_t> inplace = msg;
-      crypto::GeffeKeystream fused(0x1ACE, 0x2BEEF, 0x3CAFE);
+      crypto::GeffeKeystream fused = proto;
       fused.xor_bytes(inplace, inplace);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(inplace[i], static_cast<std::uint8_t>(msg[i] ^ ref[i]))

@@ -49,6 +49,14 @@ std::vector<std::uint8_t> text_bytes(std::size_t n, std::uint64_t seed) {
 
 constexpr Method kAllMethods[] = {Method::raw, Method::lzss, Method::huffman};
 
+/// compress_into's stream for `in`, written into a max_compressed_size
+/// buffer and cut to the returned size.
+std::vector<std::uint8_t> compress_all(Compressor& comp, std::span<const std::uint8_t> in) {
+  std::vector<std::uint8_t> stream(comp.max_compressed_size(in.size()));
+  stream.resize(comp.compress_into(in, stream));
+  return stream;
+}
+
 TEST(CompressNames, RoundTripAndRejection) {
   for (Method m : kAllMethods) {
     EXPECT_EQ(method_from_name(method_name(m)), m);
@@ -105,14 +113,19 @@ TEST(CompressEngines, RandomizedRoundTrip) {
       for (int corpus = 0; corpus < 2; ++corpus) {
         const auto in = corpus == 0 ? random_bytes(n, 0x5EED + iter)
                                     : text_bytes(n, 0x5EED + iter);
-        const std::size_t exact = comp->compressed_size(in);
-        ASSERT_LE(exact, comp->max_compressed_size(n))
+        // compress_all succeeding proves max_compressed_size is a bound.
+        const std::vector<std::uint8_t> stream = compress_all(*comp, in);
+        // compress_into's return is exact: a buffer of exactly that many
+        // bytes takes the same stream, one byte fewer is a length error.
+        std::vector<std::uint8_t> tight(stream.size());
+        ASSERT_EQ(comp->compress_into(in, tight), stream.size())
             << method_name(m) << " n=" << n << " corpus=" << corpus;
-        std::vector<std::uint8_t> stream(exact);
-        // The counting pass and the emitting pass must agree exactly — a
-        // buffer sized by compressed_size leaves no slack.
-        ASSERT_EQ(comp->compress_into(in, stream), exact)
-            << method_name(m) << " n=" << n << " corpus=" << corpus;
+        ASSERT_EQ(tight, stream) << method_name(m) << " n=" << n << " corpus=" << corpus;
+        if (!stream.empty()) {
+          std::vector<std::uint8_t> short_by_one(stream.size() - 1);
+          ASSERT_THROW((void)comp->compress_into(in, short_by_one), std::length_error)
+              << method_name(m) << " n=" << n << " corpus=" << corpus;
+        }
         ASSERT_LE(n, comp->max_decoded_size(stream.size()));
         std::vector<std::uint8_t> back(n);
         ASSERT_EQ(comp->decompress_into(stream, n, back), n);
@@ -126,16 +139,16 @@ TEST(CompressEngines, TextCorpusActuallyShrinks) {
   const auto in = text_bytes(16384, 0xBEEF);
   // LZSS exploits the repeated line structure; order-0 Huffman only the
   // byte skew (text entropy ~4.7 bits/byte), hence the looser bound.
-  EXPECT_LT(make_compressor(Method::lzss)->compressed_size(in), in.size() / 2);
-  EXPECT_LT(make_compressor(Method::huffman)->compressed_size(in), in.size() * 3 / 4);
+  EXPECT_LT(compress_all(*make_compressor(Method::lzss), in).size(), in.size() / 2);
+  EXPECT_LT(compress_all(*make_compressor(Method::huffman), in).size(), in.size() * 3 / 4);
 }
 
 TEST(CompressEngines, ShortOutputBufferIsLengthError) {
   const auto in = text_bytes(1024, 7);
   for (Method m : kAllMethods) {
     auto comp = make_compressor(m);
-    const std::size_t exact = comp->compressed_size(in);
-    std::vector<std::uint8_t> small(exact - 1);
+    const std::vector<std::uint8_t> stream = compress_all(*comp, in);
+    std::vector<std::uint8_t> small(stream.size() - 1);
     try {
       (void)comp->compress_into(in, small);
       FAIL() << method_name(m) << ": short buffer accepted";
@@ -144,8 +157,6 @@ TEST(CompressEngines, ShortOutputBufferIsLengthError) {
                 std::string::npos)
           << method_name(m);
     }
-    std::vector<std::uint8_t> stream(exact);
-    (void)comp->compress_into(in, stream);
     std::vector<std::uint8_t> out(in.size() - 1);
     EXPECT_THROW((void)comp->decompress_into(stream, in.size(), out),
                  std::length_error)
@@ -157,8 +168,7 @@ TEST(CompressEngines, TruncatedOrPaddedStreamsAreRejected) {
   const auto in = text_bytes(4096, 99);
   for (Method m : {Method::lzss, Method::huffman}) {
     auto comp = make_compressor(m);
-    std::vector<std::uint8_t> stream(comp->compressed_size(in));
-    (void)comp->compress_into(in, stream);
+    const std::vector<std::uint8_t> stream = compress_all(*comp, in);
     std::vector<std::uint8_t> out(in.size());
     // Every truncation prefix of the first/last 32 boundaries must fail to
     // decode to the declared size.
@@ -200,8 +210,7 @@ TEST(CompressEngines, HuffmanSkewedFrequenciesStayWithinDepthLimit) {
     b = next;
   }
   auto comp = make_compressor(Method::huffman);
-  std::vector<std::uint8_t> stream(comp->compressed_size(in));
-  ASSERT_EQ(comp->compress_into(in, stream), stream.size());
+  const std::vector<std::uint8_t> stream = compress_all(*comp, in);
   std::vector<std::uint8_t> back(in.size());
   ASSERT_EQ(comp->decompress_into(stream, in.size(), back), in.size());
   EXPECT_EQ(back, in);

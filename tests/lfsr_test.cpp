@@ -1,6 +1,6 @@
 // LFSR library tests: every table polynomial is *proved* primitive via the
 // GF(2) order test, and for tractable degrees the maximal period is also
-// verified empirically for both stepping forms — so the paper's "primitive
+// verified empirically by stepping the register — so the paper's "primitive
 // feedback polynomial ensures a maximal-length sequence" claim is grounded.
 #include "src/lfsr/lfsr.hpp"
 
@@ -97,14 +97,14 @@ TEST(Lfsr, RejectsZeroSeedAndBadPoly) {
 
 struct PeriodCase {
   int degree;
-  Lfsr::Form form;
+  std::uint32_t seed;
 };
 
 class LfsrPeriod : public ::testing::TestWithParam<PeriodCase> {};
 
 TEST_P(LfsrPeriod, FullPeriodFromAnySmallSeed) {
-  const auto [degree, form] = GetParam();
-  Lfsr l(primitive_polynomial(degree), 1, form);
+  const auto [degree, seed] = GetParam();
+  Lfsr l(primitive_polynomial(degree), seed);
   const std::uint64_t start = l.state();
   std::uint64_t period = 0;
   do {
@@ -114,22 +114,14 @@ TEST_P(LfsrPeriod, FullPeriodFromAnySmallSeed) {
   EXPECT_EQ(period, l.max_period());
 }
 
+// The suite and case names keep their `BothForms`/`Fib` spelling from when a
+// Galois form existed, so the printed test names stay stable.
 INSTANTIATE_TEST_SUITE_P(
     SmallDegreesBothForms, LfsrPeriod,
-    ::testing::Values(PeriodCase{2, Lfsr::Form::fibonacci}, PeriodCase{2, Lfsr::Form::galois},
-                      PeriodCase{3, Lfsr::Form::fibonacci}, PeriodCase{3, Lfsr::Form::galois},
-                      PeriodCase{4, Lfsr::Form::fibonacci}, PeriodCase{4, Lfsr::Form::galois},
-                      PeriodCase{5, Lfsr::Form::fibonacci}, PeriodCase{5, Lfsr::Form::galois},
-                      PeriodCase{8, Lfsr::Form::fibonacci}, PeriodCase{8, Lfsr::Form::galois},
-                      PeriodCase{12, Lfsr::Form::fibonacci}, PeriodCase{12, Lfsr::Form::galois},
-                      PeriodCase{16, Lfsr::Form::fibonacci}, PeriodCase{16, Lfsr::Form::galois},
-                      PeriodCase{17, Lfsr::Form::fibonacci},
-                      PeriodCase{19, Lfsr::Form::fibonacci},
-                      PeriodCase{20, Lfsr::Form::galois}),
-    [](const auto& info) {
-      return std::string("deg") + std::to_string(info.param.degree) +
-             (info.param.form == Lfsr::Form::fibonacci ? "Fib" : "Gal");
-    });
+    ::testing::Values(PeriodCase{2, 1}, PeriodCase{3, 5}, PeriodCase{4, 9}, PeriodCase{5, 0x13},
+                      PeriodCase{8, 0xA5}, PeriodCase{12, 0x5EE}, PeriodCase{16, 0xACE1},
+                      PeriodCase{17, 1}, PeriodCase{19, 0x2BEEF}, PeriodCase{20, 0xFACED}),
+    [](const auto& info) { return std::string("deg") + std::to_string(info.param.degree) + "Fib"; });
 
 TEST(Lfsr, VisitsEveryNonZeroState) {
   Lfsr l(primitive_polynomial(8), 0xAB);
@@ -140,16 +132,6 @@ TEST(Lfsr, VisitsEveryNonZeroState) {
   }
   EXPECT_EQ(seen.size(), 255u);
   EXPECT_EQ(seen.count(0), 0u);  // zero state is unreachable
-}
-
-TEST(Lfsr, StepBitsMatchesIndividualSteps) {
-  Lfsr a(primitive_polynomial(16), 0xACE1);
-  Lfsr b(primitive_polynomial(16), 0xACE1);
-  const std::uint64_t packed = a.step_bits(16);
-  std::uint64_t expect = 0;
-  for (int i = 0; i < 16; ++i) expect |= static_cast<std::uint64_t>(b.step()) << i;
-  EXPECT_EQ(packed, expect);
-  EXPECT_EQ(a.state(), b.state());
 }
 
 TEST(Lfsr, NextBlockAdvancesDegreeSteps) {
@@ -165,7 +147,7 @@ TEST(Lfsr, NextBlockAdvancesDegreeSteps) {
 // Lfsr::power_tables(n) is the n-step transition map M^n as per-byte XOR
 // tables, built by square-and-multiply on the probed one-step matrix. The
 // lane seeding of next_blocks and the Geffe kernel's update maps ride on it,
-// so the map must agree with plain stepping for both register forms.
+// so the map must agree with plain stepping.
 constexpr int kPowerDegrees[] = {2, 7, 16, 17, 23, 32};
 
 std::uint64_t apply_power(Lfsr& l, std::uint64_t steps, std::uint64_t state) {
@@ -173,16 +155,13 @@ std::uint64_t apply_power(Lfsr& l, std::uint64_t steps, std::uint64_t state) {
 }
 
 TEST(LfsrJump, MatchesAdvanceForBothForms) {
-  for (const Lfsr::Form form : {Lfsr::Form::fibonacci, Lfsr::Form::galois}) {
-    for (const int degree : kPowerDegrees) {
-      for (const std::uint64_t n : {0ull, 1ull, 2ull, 15ull, 16ull, 100ull, 12345ull}) {
-        // 0x5EED is non-zero in the low bits of every degree in the sweep.
-        Lfsr l(primitive_polynomial(degree), 0x5EED, form);
-        const std::uint64_t mapped = apply_power(l, n, l.state());
-        l.advance(n);
-        EXPECT_EQ(mapped, l.state())
-            << "degree=" << degree << " n=" << n << " form=" << static_cast<int>(form);
-      }
+  for (const int degree : kPowerDegrees) {
+    for (const std::uint64_t n : {0ull, 1ull, 2ull, 15ull, 16ull, 100ull, 12345ull}) {
+      // 0x5EED is non-zero in the low bits of every degree in the sweep.
+      Lfsr l(primitive_polynomial(degree), 0x5EED);
+      const std::uint64_t mapped = apply_power(l, n, l.state());
+      l.advance(n);
+      EXPECT_EQ(mapped, l.state()) << "degree=" << degree << " n=" << n;
     }
   }
 }
@@ -191,19 +170,17 @@ TEST(LfsrJump, FullPeriodIsIdentity) {
   // The register-period power (astronomically expensive to step at degree
   // 32) must map every basis state to itself — the O(log n) construction is
   // the point.
-  for (const Lfsr::Form form : {Lfsr::Form::fibonacci, Lfsr::Form::galois}) {
-    for (const int degree : kPowerDegrees) {
-      Lfsr l(primitive_polynomial(degree), 0x5EED, form);
-      const backend::LinearMapTables period = l.power_tables(l.max_period());
-      const backend::LinearMapTables few = l.power_tables(5);
-      const backend::LinearMapTables period_plus_few = l.power_tables(l.max_period() + 5);
-      for (int b = 0; b < degree; ++b) {
-        const std::uint32_t basis = std::uint32_t{1} << b;
-        EXPECT_EQ(period.apply(basis), basis) << "degree=" << degree << " bit=" << b;
-        // One full period plus a few: equivalent to the few alone.
-        EXPECT_EQ(period_plus_few.apply(basis), few.apply(basis))
-            << "degree=" << degree << " bit=" << b;
-      }
+  for (const int degree : kPowerDegrees) {
+    Lfsr l(primitive_polynomial(degree), 0x5EED);
+    const backend::LinearMapTables period = l.power_tables(l.max_period());
+    const backend::LinearMapTables few = l.power_tables(5);
+    const backend::LinearMapTables period_plus_few = l.power_tables(l.max_period() + 5);
+    for (int b = 0; b < degree; ++b) {
+      const std::uint32_t basis = std::uint32_t{1} << b;
+      EXPECT_EQ(period.apply(basis), basis) << "degree=" << degree << " bit=" << b;
+      // One full period plus a few: equivalent to the few alone.
+      EXPECT_EQ(period_plus_few.apply(basis), few.apply(basis))
+          << "degree=" << degree << " bit=" << b;
     }
   }
 }

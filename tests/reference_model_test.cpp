@@ -4,7 +4,7 @@
 // scramble/embed block walk (continuous and framed), the seal container and
 // HHEA — written independently from first principles (the DESIGN/paper
 // conventions), NOT by calling into src/. The production word-wide paths
-// (leap-table step_bits, bulk Geffe, frame-batched cores) must reproduce the
+// (backend next_blocks, bulk Geffe, frame-batched cores) must reproduce the
 // naive streams bit for bit over randomized seeds, keys and message sizes
 // 0..20000.
 //
@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/backend/backend.hpp"
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
@@ -56,41 +57,27 @@ std::vector<int> exponents_for(int degree) {
 }
 
 /// Naive LFSR over an explicit bit array. Conventions per the repo spec:
-/// bit i holds sequence element s_{n+i}; step() emits bit 0; Fibonacci
-/// feedback is the XOR of the tap bits (every exponent below the degree,
-/// including x^0) and enters at bit degree-1; Galois shifts down and XORs
-/// the reduced mask into bits e-1 for every exponent e >= 1 when the output
-/// bit was set.
+/// bit i holds sequence element s_{n+i}; step() emits bit 0; the feedback
+/// is the XOR of the tap bits (every exponent below the degree, including
+/// x^0) and enters at bit degree-1.
 struct Lfsr {
   int degree = 0;
-  bool galois = false;
   std::vector<int> exponents;
   std::vector<int> bits;
 
-  Lfsr(int d, std::uint64_t seed, bool galois_form = false)
-      : degree(d), galois(galois_form), exponents(exponents_for(d)) {
+  Lfsr(int d, std::uint64_t seed) : degree(d), exponents(exponents_for(d)) {
     bits.resize(static_cast<std::size_t>(d));
     for (int i = 0; i < d; ++i) bits[static_cast<std::size_t>(i)] = (seed >> i) & 1;
   }
 
   int step() {
     const int out = bits[0];
-    if (!galois) {
-      int fb = 0;
-      for (int e : exponents) {
-        if (e < degree) fb ^= bits[static_cast<std::size_t>(e)];
-      }
-      for (int i = 0; i + 1 < degree; ++i) bits[static_cast<std::size_t>(i)] = bits[static_cast<std::size_t>(i) + 1];
-      bits[static_cast<std::size_t>(degree) - 1] = fb;
-      return out;
+    int fb = 0;
+    for (int e : exponents) {
+      if (e < degree) fb ^= bits[static_cast<std::size_t>(e)];
     }
     for (int i = 0; i + 1 < degree; ++i) bits[static_cast<std::size_t>(i)] = bits[static_cast<std::size_t>(i) + 1];
-    bits[static_cast<std::size_t>(degree) - 1] = 0;
-    if (out != 0) {
-      for (int e : exponents) {
-        if (e >= 1) bits[static_cast<std::size_t>(e) - 1] ^= 1;
-      }
-    }
+    bits[static_cast<std::size_t>(degree) - 1] = fb;
     return out;
   }
 
@@ -384,27 +371,25 @@ std::uint64_t nonzero_seed(std::mt19937_64& rng, int bits) {
 TEST(ReferenceLfsr, StepBitsMatchesNaiveBitSerial) {
   std::mt19937_64 rng(0x5EED0001);
   for (const int degree : {3, 16, 17, 19, 23, 32}) {
-    for (const bool galois : {false, true}) {
-      const std::uint64_t seed = nonzero_seed(rng, degree);
-      lfsr::Lfsr prod(lfsr::primitive_polynomial(degree), seed,
-                      galois ? lfsr::Lfsr::Form::galois : lfsr::Lfsr::Form::fibonacci);
-      ref::Lfsr naive(degree, seed, galois);
-      // Interleave random-width bulk pulls with single steps so every
-      // word/tail split of the leap path is exercised mid-stream.
-      for (int round = 0; round < 200; ++round) {
-        if (rng() % 4 == 0) {
-          ASSERT_EQ(prod.step(), naive.step() != 0)
-              << "degree " << degree << " galois " << galois << " round " << round;
-          continue;
-        }
-        const int n = static_cast<int>(rng() % 65);
-        std::uint64_t want = 0;
-        for (int i = 0; i < n; ++i) {
-          want |= static_cast<std::uint64_t>(naive.step()) << i;
-        }
-        ASSERT_EQ(prod.step_bits(n), want)
-            << "degree " << degree << " galois " << galois << " round " << round
-            << " n " << n;
+    const std::uint64_t seed = nonzero_seed(rng, degree);
+    lfsr::Lfsr prod(lfsr::primitive_polynomial(degree), seed);
+    ref::Lfsr naive(degree, seed);
+    // Interleave random-size next_blocks pulls with single steps so every
+    // bulk pull starts mid-stream, off any block boundary; one pull in
+    // eight spans two lane-passes, so the multi-lane route is split too.
+    for (int round = 0; round < 200; ++round) {
+      if (rng() % 4 == 0) {
+        ASSERT_EQ(prod.step(), naive.step() != 0) << "degree " << degree << " round " << round;
+        continue;
+      }
+      const std::size_t n = rng() % 8 == 0 ? 2 * backend::kLfsrLaneBlocks + rng() % 64
+                                           : static_cast<std::size_t>(rng() % 40);
+      std::vector<std::uint64_t> got(n);
+      prod.next_blocks(got);
+      for (std::size_t k = 0; k < n; ++k) {
+        for (int i = 0; i < degree; ++i) naive.step();
+        ASSERT_EQ(got[k], naive.state())
+            << "degree " << degree << " round " << round << " block " << k << " of " << n;
       }
     }
   }

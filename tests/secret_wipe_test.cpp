@@ -255,7 +255,7 @@ bool buffer_contains_word(const unsigned char* buf, std::size_t len, std::uint64
 
 TEST(LfsrWipe, WipeStateZeroesTheRegister) {
   lfsr::Lfsr reg(lfsr::primitive_polynomial(17), 0x1ACE);
-  (void)reg.step_bits(8);
+  reg.advance(8);
   ASSERT_NE(reg.state(), 0u);
   reg.wipe_state();
   EXPECT_EQ(reg.state(), 0u);

@@ -8,17 +8,27 @@
 // exactly what a remote client would produce.
 #include "src/server/server.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/crypto/session.hpp"
@@ -60,12 +70,13 @@ class Client {
     addr.sin_port = htons(port);
     EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
         << std::strerror(errno);
-    if (auto hello = read_response();
-        hello.has_value() && status_of_tag(hello->tag) == Status::kHello) {
-      const HelloInfo info = parse_hello_body(hello->body);
-      salt_.assign(info.salt.begin(), info.salt.end());
-      methods_ = info.methods;
-    }
+    read_hello();
+  }
+  /// The same client over a UNIX domain socket.
+  explicit Client(const std::string& uds_path) {
+    fd_ = uds_connect(uds_path);
+    EXPECT_GE(fd_, 0) << std::strerror(errno);
+    read_hello();
   }
   ~Client() {
     if (fd_ >= 0) ::close(fd_);
@@ -76,7 +87,9 @@ class Client {
   void send_raw(std::span<const std::uint8_t> bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+      // MSG_NOSIGNAL: a server that died mid-test fails the write, not the
+      // whole test binary.
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       ASSERT_GT(n, 0);
       off += static_cast<std::size_t>(n);
     }
@@ -110,8 +123,33 @@ class Client {
   /// The hello's advertised compression-method mask.
   [[nodiscard]] std::uint8_t methods() const { return methods_; }
 
+  /// A blocking UNIX-socket connection to `path`; -1 with errno on failure.
+  static int uds_connect(const std::string& path) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      const int err = errno;
+      ::close(fd);
+      errno = err;
+      return -1;
+    }
+    return fd;
+  }
+
  private:
   static Status status_of_tag(std::uint8_t tag) { return static_cast<Status>(tag); }
+
+  void read_hello() {
+    if (auto hello = read_response();
+        hello.has_value() && status_of_tag(hello->tag) == Status::kHello) {
+      const HelloInfo info = parse_hello_body(hello->body);
+      salt_.assign(info.salt.begin(), info.salt.end());
+      methods_ = info.methods;
+    }
+  }
 
   int fd_ = -1;
   FrameParser parser_;
@@ -585,6 +623,232 @@ TEST(ServerLifecycle, RejectsBadConfig) {
   ServerConfig bad_inflight = base_config();
   bad_inflight.max_inflight = -1;
   EXPECT_THROW(Server{bad_inflight}, std::invalid_argument);
+}
+
+// --- failures only visible from outside the process ------------------------
+//
+// A signal that kills the process, or CPU burnt by the I/O thread, cannot be
+// observed by the process itself. These tests run the Server in a child: a
+// fresh copy of this test binary (fork + exec of /proc/self/exe, filtered to
+// the current test) that starts single-threaded with default signal
+// dispositions, whatever the parent has run before. The test body sees
+// kChildEnv set in the child, plays the server side, and exits with a
+// status the parent checks (its Server destroyed first, so the socket file
+// is removed). The two sides trade one-byte signals over pipes.
+
+constexpr const char* kChildEnv = "MHHEA_SERVER_TEST_CHILD";
+
+/// One side of the parent/child rendezvous: `in` receives, `out` sends;
+/// `uds_path` is where the child's server listens.
+struct Link {
+  int in = -1;
+  int out = -1;
+  std::string uds_path;
+
+  void post() const {
+    const char c = 1;
+    (void)!::write(out, &c, 1);
+  }
+  /// False when nothing arrived within `ms` (or the other side is gone).
+  [[nodiscard]] bool wait(int ms) const {
+    pollfd p{in, POLLIN, 0};
+    char c = 0;
+    return ::poll(&p, 1, ms) == 1 && ::read(in, &c, 1) == 1;
+  }
+};
+
+/// The child's end, when this process is the child of a ChildProcess.
+std::optional<Link> child_link() {
+  const char* v = std::getenv(kChildEnv);
+  Link l;
+  int path_at = 0;
+  if (v == nullptr || std::sscanf(v, "%d,%d,%n", &l.in, &l.out, &path_at) != 2 ||
+      path_at == 0) {
+    return std::nullopt;
+  }
+  l.uds_path = v + path_at;
+  return l;
+}
+
+/// The parent's handle on the child running the current test, whose server
+/// listens on a fresh UNIX socket path.
+class ChildProcess {
+ public:
+  ChildProcess() {
+    int down[2];  // parent -> child
+    int up[2];    // child -> parent
+    EXPECT_EQ(::pipe2(down, O_CLOEXEC), 0);
+    EXPECT_EQ(::pipe2(up, O_CLOEXEC), 0);
+    link_ = {up[0], down[1],
+             ::testing::TempDir() + "mhhea-child-" + std::to_string(::getpid()) + ".sock"};
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string filter =
+        std::string("--gtest_filter=") + info->test_suite_name() + "." + info->name();
+    const std::string env = std::string(kChildEnv) + "=" + std::to_string(down[0]) + "," +
+                            std::to_string(up[1]) + "," + link_.uds_path;
+    // Everything exec needs is built before fork: the child only calls
+    // async-signal-safe functions until exec replaces it.
+    std::vector<char*> envp;
+    for (char** e = environ; *e != nullptr; ++e) envp.push_back(*e);
+    envp.push_back(const_cast<char*>(env.c_str()));
+    envp.push_back(nullptr);
+    char arg0[] = "server_test";
+    char* argv[] = {arg0, const_cast<char*>(filter.c_str()), nullptr};
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      (void)::fcntl(down[0], F_SETFD, 0);  // the child's ends survive exec
+      (void)::fcntl(up[1], F_SETFD, 0);
+      ::execve("/proc/self/exe", argv, envp.data());
+      ::_exit(127);
+    }
+    EXPECT_GT(pid_, 0) << std::strerror(errno);
+    ::close(down[0]);
+    ::close(up[1]);
+  }
+  ~ChildProcess() {
+    if (pid_ > 0) (void)finish();
+    ::close(link_.in);
+    ::close(link_.out);
+  }
+  ChildProcess(const ChildProcess&) = delete;
+  ChildProcess& operator=(const ChildProcess&) = delete;
+
+  [[nodiscard]] const Link& link() const { return link_; }
+
+  /// Close the parent's ends (the child reads EOF) and reap the child: its
+  /// exit status, or 128 + the signal that killed it, as a shell reports it
+  /// (so death by SIGPIPE reads 141).
+  int finish() {
+    ::close(link_.out);
+    link_.out = -1;
+    int status = 0;
+    const pid_t pid = std::exchange(pid_, -1);
+    if (pid <= 0 || ::waitpid(pid, &status, 0) != pid) return -1;
+    return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : WEXITSTATUS(status);
+  }
+
+ private:
+  Link link_;
+  pid_t pid_ = -1;
+};
+
+ServerConfig uds_config(const std::string& path) {
+  ServerConfig cfg = base_config();
+  cfg.uds_path = path;
+  return cfg;
+}
+
+TEST(ServerFailure, EarlyHangupBurstDoesNotKillTheProcess) {
+  // Clients that pipeline pings and hang up without reading make the
+  // server's response writes fail with EPIPE. The library must not let that
+  // raise SIGPIPE (default action: terminate) and must not change the
+  // process's signal disposition to avoid it.
+  if (const auto link = child_link()) {
+    ::_exit([&] {
+      if (std::signal(SIGPIPE, SIG_DFL) != SIG_DFL) return 2;  // must start at default
+      Server server(uds_config(link->uds_path));
+      server.start();
+      link->post();
+      (void)link->wait(60'000);  // until the parent is done
+      server.stop();
+      return std::signal(SIGPIPE, SIG_DFL) == SIG_DFL ? 0 : 3;
+    }());
+  }
+  ChildProcess child;
+  const std::string& path = child.link().uds_path;
+  ASSERT_TRUE(child.link().wait(30'000)) << "child server did not start";
+  std::vector<std::uint8_t> pings;
+  for (int i = 0; i < 64; ++i) {
+    const auto ping = encode_request(Op::kPing, {});
+    pings.insert(pings.end(), ping.begin(), ping.end());
+  }
+  for (int i = 0; i < 300; ++i) {
+    const int fd = Client::uds_connect(path);
+    if (fd < 0) break;  // the server is gone; finish() reports how
+    (void)::send(fd, pings.data(), pings.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  }
+  {
+    Client probe(path);
+    EXPECT_FALSE(probe.salt().empty());
+    probe.send_request(Op::kPing, {});
+    const auto resp = probe.read_response();
+    EXPECT_TRUE(resp.has_value() && status_of(*resp) == Status::kOk)
+        << "no ping answer after the burst";
+  }
+  EXPECT_EQ(child.finish(), 0) << "141 is death by SIGPIPE";
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  (void)::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// True once a hello frame arrives on `fd` within `ms`.
+bool hello_arrives(int fd, int ms) {
+  FrameParser parser;
+  pollfd p{fd, POLLIN, 0};
+  while (::poll(&p, 1, ms) == 1) {
+    std::uint8_t buf[256];
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return false;
+    parser.feed(std::span(buf, static_cast<std::size_t>(n)));
+    if (auto f = parser.next()) return status_of(*f) == Status::kHello;
+  }
+  return false;
+}
+
+TEST(ServerFailure, FdExhaustionPausesAcceptInsteadOfSpinning) {
+  // Out of fds, accept4 fails with EMFILE while the queued connection keeps
+  // the level-triggered listener readable. The child lowers only its own
+  // RLIMIT_NOFILE so no fd is left for accept4; with clients queued, its
+  // CPU time over the next second must stay near idle, and once the limit
+  // is lifted the queued clients must be served.
+  if (const auto link = child_link()) {
+    ::_exit([&] {
+      Server server(uds_config(link->uds_path));
+      server.start();
+      rlimit saved{};
+      if (::getrlimit(RLIMIT_NOFILE, &saved) != 0) return 2;
+      // dup returns the lowest free fd: every fd below it is in use, so a
+      // limit of exactly that many leaves accept4 nothing.
+      const int lowest_free = ::dup(STDERR_FILENO);
+      ::close(lowest_free);
+      rlimit low = saved;
+      low.rlim_cur = static_cast<rlim_t>(lowest_free);
+      if (::setrlimit(RLIMIT_NOFILE, &low) != 0) return 2;
+      link->post();
+      if (!link->wait(30'000)) return 2;  // clients queued
+      const double cpu0 = process_cpu_seconds();
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+      const double cpu = process_cpu_seconds() - cpu0;
+      const std::uint64_t failures = server.stats().accept_failures;
+      (void)::setrlimit(RLIMIT_NOFILE, &saved);
+      link->post();
+      (void)link->wait(60'000);  // until the parent is done
+      server.stop();
+      std::fprintf(stderr, "child: %.3f s CPU in 1 s out of fds, %llu accept failures\n", cpu,
+                   static_cast<unsigned long long>(failures));
+      return cpu > 0.25 ? 4 : failures == 0 ? 5 : 0;
+    }());
+  }
+  ChildProcess child;
+  const std::string& path = child.link().uds_path;
+  ASSERT_TRUE(child.link().wait(30'000)) << "child server did not start";
+  std::vector<int> queued;
+  for (int i = 0; i < 5; ++i) {
+    queued.push_back(Client::uds_connect(path));
+    EXPECT_GE(queued.back(), 0) << std::strerror(errno);
+  }
+  child.link().post();
+  EXPECT_TRUE(child.link().wait(30'000)) << "child did not lift its fd limit";
+  for (const int fd : queued) {
+    EXPECT_TRUE(hello_arrives(fd, 10'000)) << "a queued client was never accepted";
+    ::close(fd);
+  }
+  // 4: the I/O thread spun; 5: no accept failure was counted.
+  EXPECT_EQ(child.finish(), 0);
 }
 
 }  // namespace

@@ -140,7 +140,8 @@ int main(int argc, char** argv) {
     const auto s = server.stats();
     std::cout << "mhhead: served ok=" << s.requests_ok << " error=" << s.requests_error
               << " shed=" << s.shed << " timeouts=" << s.timeouts
-              << " accepted=" << s.accepted << std::endl;
+              << " accepted=" << s.accepted << " accept_failures=" << s.accept_failures
+              << std::endl;
   } catch (const std::exception& e) {
     std::cerr << "mhhead: " << e.what() << "\n";
     return 1;
