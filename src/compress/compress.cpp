@@ -7,7 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace mhhea::compress {
 
@@ -62,8 +61,9 @@ class RawCompressor final : public Compressor {
 // declared raw size tells the decoder where to stop.
 //
 // Matching is greedy with a hash-chain search (image_comp/smac-style): 3-byte
-// hash heads plus a per-position previous-link array, both reusable
-// per-instance scratch, chain walks capped so worst-case inputs stay linear.
+// hash heads plus a window-sized ring of previous links (zlib's
+// prev[pos & wmask]), both fixed-size per-instance scratch, chain walks
+// capped so worst-case inputs stay linear.
 
 class LzssCompressor final : public Compressor {
  public:
@@ -83,8 +83,7 @@ class LzssCompressor final : public Compressor {
   std::size_t compress_into(std::span<const std::uint8_t> in,
                             std::span<std::uint8_t> out) override {
     const std::size_t n = in.size();
-    head_.assign(std::size_t{1} << kHashBits, kNil);
-    if (prev_.size() < n) prev_.resize(n);
+    head_.fill(kNil);
 
     std::size_t op = 0;
     const auto put = [&](std::uint8_t b) {
@@ -94,7 +93,7 @@ class LzssCompressor final : public Compressor {
     const auto insert = [&](std::size_t pos) {
       if (pos + kMinMatch > n) return;
       const std::uint32_t h = hash3(in.data() + pos);
-      prev_[pos] = head_[h];
+      prev_[pos & (kWindow - 1)] = head_[h];
       head_[h] = static_cast<std::uint32_t>(pos);
     };
 
@@ -113,9 +112,12 @@ class LzssCompressor final : public Compressor {
       if (ip + kMinMatch <= n) {
         const std::size_t limit = std::min(kMaxMatch, n - ip);
         std::uint32_t cand = head_[hash3(in.data() + ip)];
-        for (int chain = kMaxChain; cand != kNil && chain > 0; --chain, cand = prev_[cand]) {
+        for (int chain = kMaxChain; cand != kNil && chain > 0;
+             --chain, cand = prev_[cand & (kWindow - 1)]) {
           const std::size_t dist = ip - cand;
-          if (dist > kWindow) break;  // chains are position-ordered
+          // Chains are position-ordered. In the window, cand's ring slot is
+          // not yet reused: the next to reuse it is cand + kWindow >= ip.
+          if (dist > kWindow) break;
           std::size_t len = 0;
           while (len < limit && in[cand + len] == in[ip + len]) ++len;
           if (len > best_len) {
@@ -196,10 +198,10 @@ class LzssCompressor final : public Compressor {
     return (v * 0x9E3779B1u) >> (32 - kHashBits);
   }
 
-  // Reusable match-search scratch (head per 3-byte hash, previous link per
-  // input position): allocation-free once warmed to the largest input seen.
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> prev_;
+  // Match-search scratch, 48 KiB whatever the input size: head per 3-byte
+  // hash, previous link of each of the last kWindow positions.
+  std::array<std::uint32_t, std::size_t{1} << kHashBits> head_;
+  std::array<std::uint32_t, kWindow> prev_;
 };
 
 // ---------------------------------------------------------------------------

@@ -16,15 +16,20 @@ constexpr std::size_t kCoverChunk = 2048;
 }  // namespace
 
 template <class Window>
-BlockEncryptor<Window>::BlockEncryptor(Key key, std::unique_ptr<CoverSource> cover,
+BlockDecryptor<Window>::BlockDecryptor(const Key& key, std::uint64_t /*message_bits*/,
                                        BlockParams params)
-    : key_(std::move(key)), cover_(std::move(cover)), params_(params) {
+    : params_(params) {
   params_.validate();
+  key.require_fits(params_, "block core");
+  pairs_ = detail::PairTables::build<Window>(key, params_);
+}
+
+template <class Window>
+BlockEncryptor<Window>::BlockEncryptor(const Key& key, std::unique_ptr<CoverSource> cover,
+                                       BlockParams params)
+    : BlockDecryptor<Window>(key, 0, params), cover_(std::move(cover)) {
   if (cover_ == nullptr) throw std::invalid_argument("Encryptor: null cover source");
-  key_.require_fits(params_, "Encryptor");
-  pairs_ = detail::PairTables::build<Window>(key_, params_);
-  cover_buf_.resize(kCoverChunk);
-  for (const KeyPair& p : key_.pairs()) {
+  for (const KeyPair& p : key.pairs()) {
     cycle_min_bits_ += static_cast<std::uint64_t>(Window::min_width(p, params_));
   }
 }
@@ -54,21 +59,22 @@ std::size_t BlockEncryptor<Window>::encrypt_into(std::span<const std::uint8_t> m
   const int lb = params_.loc_bits();
   std::uint8_t* dst = out.data();
   // Plain locals, so the byte stores through dst cannot force reloads.
-  const std::uint64_t* const cover = cover_buf_.data();
+  std::array<std::uint64_t, kCoverChunk> chunk;  // filled by refill before any read
+  const std::uint64_t* const cover = chunk.data();
   const detail::PairCtx* const first = pairs_.begin();
   const detail::PairCtx* const last = pairs_.end();
   const detail::PairCtx* pc = first;
   std::size_t pos = 0;
   std::size_t len = 0;
-  // Refill the resident prefetch chunk. `rem` is a lower bound on the blocks
+  // Refill the prefetch chunk. `rem` is a lower bound on the blocks
   // still needed (each embeds at most N/2 bits, and frame caps only raise the
   // count), so every fetched vector is consumed before the walk ends — which
   // drains finite covers exactly and makes the chunk-granular space check
   // exact rather than pessimistic.
   const auto refill = [&](std::uint64_t rem) {
     const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
-        cover_buf_.size(), std::max<std::uint64_t>(rem / static_cast<std::uint64_t>(h), 1)));
-    len = cover_->next_blocks(params_.vector_bits, std::span(cover_buf_.data(), want));
+        kCoverChunk, std::max<std::uint64_t>(rem / static_cast<std::uint64_t>(h), 1)));
+    len = cover_->next_blocks(params_.vector_bits, std::span(chunk.data(), want));
     pos = 0;
     if (len == 0) throw std::runtime_error("Encryptor: cover source exhausted");
     if (out.size() - static_cast<std::size_t>(dst - out.data()) < len * bb) {
@@ -114,18 +120,9 @@ std::size_t BlockEncryptor<Window>::encrypt_into(std::span<const std::uint8_t> m
 }
 
 template <class Window>
-BlockDecryptor<Window>::BlockDecryptor(Key key, std::uint64_t /*message_bits*/,
-                                       BlockParams params)
-    : key_(std::move(key)), params_(params) {
-  params_.validate();
-  key_.require_fits(params_, "Decryptor");
-  pairs_ = detail::PairTables::build<Window>(key_, params_);
-}
-
-template <class Window>
 std::size_t BlockDecryptor<Window>::decrypt_into(std::span<const std::uint8_t> cipher,
                                                  std::uint64_t message_bits,
-                                                 std::span<std::uint8_t> out) {
+                                                 std::span<std::uint8_t> out) const {
   const auto bb = static_cast<std::size_t>(params_.block_bytes());
   if (cipher.size() % bb != 0) {
     throw std::invalid_argument("Decryptor::decrypt_into: ciphertext not block-aligned");

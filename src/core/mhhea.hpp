@@ -19,9 +19,11 @@
 // comes from a per-pair lookup table built once per core (the software form
 // of the location scrambler's LUTs — scramble_range only builds the tables),
 // message bits arrive by one unaligned 64-bit load per block, cover vectors
-// are prefetched in chunks through CoverSource::next_blocks, and each block
-// is embedded/extracted with one masked word operation (block.hpp). Both
-// cores are reusable across messages, so adapters amortize construction.
+// are prefetched in stack chunks through CoverSource::next_blocks, and each
+// block is embedded/extracted with one masked word operation (block.hpp).
+// As the FPGA's scrambler and encryption module share one key cache, the
+// encryptor core is the decryptor core plus a cover: one table set, reused
+// across messages, serves both directions.
 //
 // The engine is a template over a compile-time window policy — where a
 // block's message word lands and which key pattern it is XORed with:
@@ -168,23 +170,49 @@ struct FixedWindow {
   }
 };
 
-/// One-shot encryptor core. Each call encrypts one whole message from the
-/// start of the cover stream, so a reused instance is a pure function of its
-/// key, cover and params.
+/// One-shot decryptor core: the message length is named per call (carried
+/// by the framed file format in frame.hpp, or out of band as the paper's
+/// EOF). It holds the params and the key's tables, not the key.
 template <class Window>
-class BlockEncryptor {
+class BlockDecryptor {
+ public:
+  /// Validates params and key-vs-params (std::invalid_argument) and builds
+  /// the tables. `message_bits` is unused — every decrypt_into call names
+  /// its own length. It stays so existing constructions keep compiling.
+  BlockDecryptor(const Key& key, std::uint64_t message_bits,
+                 BlockParams params = BlockParams::paper());
+
+  /// Decrypt the whole ciphertext of a `message_bits`-bit message straight
+  /// into the caller's buffer (zero-padded to whole bytes) and return the
+  /// bytes written, i.e. ceil(message_bits / 8). std::invalid_argument on
+  /// misaligned, truncated or trailing ciphertext (blocks beyond the message
+  /// end must not round-trip silently); std::length_error if `out` is too
+  /// small (bytes already written are unspecified). Zero heap allocations.
+  std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
+                           std::span<std::uint8_t> out) const;
+
+ protected:
+  BlockParams params_;
+  detail::PairTables pairs_;
+};
+
+/// One-shot encryptor core: the decryptor core plus a cover source. Each
+/// call encrypts one whole message from the start of the cover stream, so a
+/// reused instance is a pure function of its key, cover and params.
+template <class Window>
+class BlockEncryptor : public BlockDecryptor<Window> {
  public:
   /// Takes ownership of the cover source (LFSR for encryption mode, buffer
   /// for steganography mode). The cover must be resettable (see
   /// CoverSource::reset): every call rewinds it.
-  BlockEncryptor(Key key, std::unique_ptr<CoverSource> cover,
+  BlockEncryptor(const Key& key, std::unique_ptr<CoverSource> cover,
                  BlockParams params = BlockParams::paper());
 
   /// Encrypt the whole of `msg` into the caller's buffer and return the
   /// ciphertext bytes written. The message length is known up front, so
-  /// blocks are planned and emitted final-sized straight into `out`; the
-  /// only other buffer touched is the resident cover prefetch chunk (zero
-  /// heap allocations). Throws std::length_error if `out` cannot hold the
+  /// blocks are planned and emitted final-sized straight into `out`; cover
+  /// vectors are prefetched into a 16 KiB chunk on the stack (zero heap
+  /// allocations). Throws std::length_error if `out` cannot hold the
   /// ciphertext and std::runtime_error if the cover runs dry (bytes already
   /// written are unspecified in both cases).
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
@@ -199,37 +227,11 @@ class BlockEncryptor {
   void reseed(std::uint64_t seed) { cover_->reseed(seed); }
 
  private:
-  Key key_;
+  using BlockDecryptor<Window>::params_;
+  using BlockDecryptor<Window>::pairs_;
+
   std::unique_ptr<CoverSource> cover_;
-  BlockParams params_;
-  detail::PairTables pairs_;
-  std::vector<std::uint64_t> cover_buf_;  // prefetched hiding vectors
-  std::uint64_t cycle_min_bits_ = 0;      // sum of Window::min_width over the key
-};
-
-/// One-shot decryptor core: the message length is named per call (carried
-/// by the framed file format in frame.hpp, or out of band as the paper's
-/// EOF).
-template <class Window>
-class BlockDecryptor {
- public:
-  /// `message_bits` is unused — every decrypt_into call names its own
-  /// length. It stays so existing constructions keep compiling.
-  BlockDecryptor(Key key, std::uint64_t message_bits, BlockParams params = BlockParams::paper());
-
-  /// Decrypt the whole ciphertext of a `message_bits`-bit message straight
-  /// into the caller's buffer (zero-padded to whole bytes) and return the
-  /// bytes written, i.e. ceil(message_bits / 8). std::invalid_argument on
-  /// misaligned, truncated or trailing ciphertext (blocks beyond the message
-  /// end must not round-trip silently); std::length_error if `out` is too
-  /// small (bytes already written are unspecified). Zero heap allocations.
-  std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                           std::span<std::uint8_t> out);
-
- private:
-  Key key_;
-  BlockParams params_;
-  detail::PairTables pairs_;
+  std::uint64_t cycle_min_bits_ = 0;  // sum of Window::min_width over the key
 };
 
 extern template class BlockEncryptor<ScrambledWindow>;

@@ -9,8 +9,7 @@ namespace mhhea::crypto {
 HheaCipher::HheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params)
     : key_(std::move(key)),
       params_(params),
-      enc_(key_, core::make_lfsr_cover(params_.vector_bits, seed), params_),
-      dec_(key_, 0, params_) {
+      core_(key_, core::make_lfsr_cover(params_.vector_bits, seed), params_) {
   double mean_bits = 0.0;
   for (const auto& p : key_.pairs()) mean_bits += static_cast<double>(p.span() + 1);
   mean_bits /= static_cast<double>(key_.size());
@@ -19,12 +18,12 @@ HheaCipher::HheaCipher(core::Key key, std::uint64_t seed, core::BlockParams para
 
 std::size_t HheaCipher::encrypt_into(std::span<const std::uint8_t> msg,
                                      std::span<std::uint8_t> out) {
-  return enc_.encrypt_into(msg, out);
+  return core_.encrypt_into(msg, out);
 }
 
 std::size_t HheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
                                      std::size_t msg_bytes, std::span<std::uint8_t> out) {
-  return dec_.decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
+  return core_.decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
 }
 
 }  // namespace mhhea::crypto

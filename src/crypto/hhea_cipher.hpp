@@ -1,7 +1,8 @@
 // Cipher adapter for the baseline HHEA (src/crypto/hhea.hpp), mirroring
 // MhheaCipher: one instance = one (key, nonce, params) configuration with
-// reusable cores of the shared block engine under its fixed window policy,
-// so per-call work is the message itself, not engine construction.
+// one key and one reusable core (both directions) of the shared block
+// engine under its fixed window policy, so per-call work is the message
+// itself, not engine construction.
 // Deterministic per call; share one instance per thread.
 #pragma once
 
@@ -33,7 +34,7 @@ class HheaCipher final : public Cipher {
   /// exact size by at most L blocks.
   [[nodiscard]] std::size_t max_ciphertext_size(std::size_t msg_bytes) const override {
     return static_cast<std::size_t>(
-        enc_.max_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8));
+        core_.max_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8));
   }
   /// HHEA embeds exactly span+1 bits per block, so the expansion is the
   /// closed form vector_bits / mean(span_i + 1) — no scramble averaging.
@@ -45,10 +46,9 @@ class HheaCipher final : public Cipher {
  private:
   core::Key key_;
   core::BlockParams params_;
-  // The one block engine under HHEA's fixed window: reusable cores, rewound
-  // per call.
-  core::BlockEncryptor<core::FixedWindow> enc_;
-  core::BlockDecryptor<core::FixedWindow> dec_;
+  // The one block engine under HHEA's fixed window: one reusable core,
+  // rewound per call, for both directions.
+  core::BlockEncryptor<core::FixedWindow> core_;
   double expansion_;
 };
 

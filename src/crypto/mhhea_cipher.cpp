@@ -36,12 +36,11 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
       // Core construction validates params, seed and key-vs-params eagerly.
       // sealed_v2 seeds the cover for nonce 0 from the schedule (cur_nonce_
       // starts at 0 to match); the raw seed is then only schedule input.
-      enc_(key_,
-           core::make_lfsr_cover(params_.vector_bits, framing == Framing::sealed_v2
-                                                          ? v2_cover_seed(0)
-                                                          : seed),
-           params_),
-      dec_(key_, 0, params_),
+      core_(key_,
+            core::make_lfsr_cover(params_.vector_bits, framing == Framing::sealed_v2
+                                                           ? v2_cover_seed(0)
+                                                           : seed),
+            params_),
       expansion_(core::expected_expansion(key_, params_)) {}
 
 namespace {
@@ -108,7 +107,7 @@ std::uint64_t MhheaCipher::v2_cover_seed(std::uint64_t nonce) const {
 void MhheaCipher::set_nonce(std::uint64_t nonce) {
   if (nonce == cur_nonce_) return;
   const std::uint64_t s = v2_cover_seed(nonce);
-  enc_.reseed(s);
+  core_.reseed(s);
   cur_nonce_ = nonce;
 }
 
@@ -132,7 +131,7 @@ std::size_t MhheaCipher::encrypt_into(std::span<const std::uint8_t> msg,
     }
     payload = out.subspan(core::FrameHeader::kSize);
   }
-  const std::size_t raw = enc_.encrypt_into(msg, payload);
+  const std::size_t raw = core_.encrypt_into(msg, payload);
   if (framing_ == Framing::sealed) {
     core::FrameHeader h;
     h.params = params_;
@@ -185,7 +184,7 @@ std::size_t MhheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
       throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
     }
   }
-  return dec_.decrypt_into(payload, message_bits, out);
+  return core_.decrypt_into(payload, message_bits, out);
 }
 
 std::size_t MhheaCipher::max_ciphertext_size(std::size_t msg_bytes) const {
@@ -193,7 +192,7 @@ std::size_t MhheaCipher::max_ciphertext_size(std::size_t msg_bytes) const {
   if (framing_ == Framing::sealed) overhead = core::FrameHeader::kSize;
   if (framing_ == Framing::sealed_v2) overhead = core::FrameHeader::kOverheadV2;
   return static_cast<std::size_t>(
-             enc_.max_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8)) +
+             core_.max_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8)) +
          overhead;
 }
 
@@ -212,7 +211,7 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   // length_error covers a payload slice that cannot hold them.
   std::span<std::uint8_t> payload = out.subspan(
       core::FrameHeader::kSizeV2, out.size() - core::FrameHeader::kOverheadV2);
-  const std::size_t raw = enc_.encrypt_into(body.bytes, payload);
+  const std::size_t raw = core_.encrypt_into(body.bytes, payload);
   core::FrameHeader h;
   h.version = 2;
   h.nonce = nonce;
@@ -247,7 +246,7 @@ MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(
 
 std::size_t MhheaCipher::decrypt_v2_blocks(const V2Opened& opened,
                                            std::span<std::uint8_t> out) {
-  return dec_.decrypt_into(opened.payload, opened.header.message_bits, out);
+  return core_.decrypt_into(opened.payload, opened.header.message_bits, out);
 }
 
 MhheaCipher::EnvelopeView MhheaCipher::decrypt_v2_envelope(const V2Opened& opened) {

@@ -3,13 +3,13 @@
 // YAEA-S (Table 1's comparison set).
 //
 // One adapter instance = one (key, nonce, params, framing) configuration.
-// The instance keeps one reusable Encryptor/Decryptor core instead of
-// constructing a fresh engine each time — per-message setup (cover
-// construction, key-pattern caches, LFSR leap tables, the cover prefetch
-// chunk) is paid once. Calls remain deterministic and independent: the
-// cover source is rewound on every call, so encrypt() is a pure function
-// of the configuration and the message. The reusable core makes calls
-// STATEFUL internally — give each thread its own instance.
+// The instance keeps one key and one reusable core that encrypts and
+// decrypts from one table set, instead of constructing a fresh engine each
+// time — key setup (cover construction, range tables, key patterns) is paid
+// once. Calls remain deterministic and independent: the cover source is
+// rewound on every call, so encrypt() is a pure function of the
+// configuration and the message. The reusable core makes calls STATEFUL
+// internally — give each thread its own instance.
 //
 // Framing::sealed wraps every ciphertext in the self-describing
 // core::seal/open container (frame.hpp): a 16-byte header carrying params
@@ -196,9 +196,8 @@ class MhheaCipher final : public Cipher {
   core::BlockParams params_;
   Framing framing_;
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
-  std::uint64_t cur_nonce_ = 0;  // nonce enc_ is seeded for
-  core::Encryptor enc_;  // reusable core, rewound per encrypt()
-  core::Decryptor dec_;  // reusable core
+  std::uint64_t cur_nonce_ = 0;  // nonce core_ is seeded for
+  core::Encryptor core_;  // encrypts (cover rewound per call) and decrypts
   // Compression pre-stage (sealed_v2 only): the outbound method knob, the
   // lazily built per-method engines (indexed by tag — openers may need any
   // of them), and the grow-only envelope scratch for each direction. The

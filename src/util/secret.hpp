@@ -3,9 +3,10 @@
 // A plain `memset(key, 0, n)` before free is dead-store-eliminated by every
 // optimizing compiler (the memory is provably never read again), so the
 // "wipe on destruction" discipline needs a store the optimizer must keep.
-// `secure_wipe` writes through a volatile pointer and then passes the
-// buffer's address through an opaque asm barrier, which pins the stores the
-// same way C11's memset_s and BoringSSL's OPENSSL_cleanse do.
+// `secure_wipe` runs an ordinary (vectorized) memset and then passes the
+// buffer's address through an opaque asm barrier that claims to read
+// memory, which pins the stores the same way BoringSSL's OPENSSL_cleanse
+// and glibc's explicit_bzero do.
 //
 // `SecretBytes<N>` is the tagged container for fixed-size key material: an
 // array wrapper that wipes its storage on destruction (and when moved-from)
@@ -22,6 +23,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 namespace mhhea::util {
@@ -30,13 +32,10 @@ namespace mhhea::util {
 /// n == 0 (p may then be null).
 inline void secure_wipe(void* p, std::size_t n) noexcept {
   if (n == 0) return;
-  volatile std::uint8_t* bytes = static_cast<volatile std::uint8_t*>(p);
-  for (std::size_t i = 0; i < n; ++i) bytes[i] = 0;
-#if defined(__GNUC__) || defined(__clang__)
-  // Opaque use of the buffer: the compiler must assume the zeros are read,
-  // so the volatile stores above cannot be folded away even under LTO.
+  std::memset(p, 0, n);
+  // Opaque use of the buffer (GCC/Clang syntax, as the library requires):
+  // the zeros count as read, so even LTO cannot fold the memset away.
   __asm__ __volatile__("" : : "r"(p) : "memory");
-#endif
 }
 
 /// Typed convenience: wipe any trivially-copyable object in place.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -133,6 +134,114 @@ TEST(CompressEngines, RandomizedRoundTrip) {
       }
     }
   }
+}
+
+// --- LZSS reference encoder --------------------------------------------------
+//
+// The LZSS encoder as it stood with one previous-link per input position
+// (prev grows with the input), kept here as the output contract: the engine
+// keeps its links in a window-sized ring and must emit the same stream
+// byte for byte. Same constants, hash and greedy chain walk; output grows
+// by push_back.
+std::vector<std::uint8_t> reference_lzss(std::span<const std::uint8_t> in) {
+  constexpr std::size_t kWindow = 4096;
+  constexpr std::size_t kMinMatch = 3;
+  constexpr std::size_t kMaxMatch = 18;
+  constexpr int kHashBits = 13;
+  constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  constexpr int kMaxChain = 32;
+  const auto hash3 = [&](std::size_t pos) {
+    const std::uint32_t v = static_cast<std::uint32_t>(in[pos]) |
+                            (static_cast<std::uint32_t>(in[pos + 1]) << 8) |
+                            (static_cast<std::uint32_t>(in[pos + 2]) << 16);
+    return (v * 0x9E3779B1u) >> (32 - kHashBits);
+  };
+  const std::size_t n = in.size();
+  std::vector<std::uint32_t> head(std::size_t{1} << kHashBits, kNil);
+  std::vector<std::uint32_t> prev(n, kNil);
+  const auto insert = [&](std::size_t pos) {
+    if (pos + kMinMatch > n) return;
+    const std::uint32_t h = hash3(pos);
+    prev[pos] = head[h];
+    head[h] = static_cast<std::uint32_t>(pos);
+  };
+  std::vector<std::uint8_t> out;
+  std::size_t flag_pos = 0;
+  int items = 0;
+  for (std::size_t ip = 0; ip < n;) {
+    if (items == 0) {
+      flag_pos = out.size();
+      out.push_back(0);
+    }
+    std::size_t best_len = 0;
+    std::size_t best_dist = 0;
+    if (ip + kMinMatch <= n) {
+      const std::size_t limit = std::min(kMaxMatch, n - ip);
+      std::uint32_t cand = head[hash3(ip)];
+      for (int chain = kMaxChain; cand != kNil && chain > 0; --chain, cand = prev[cand]) {
+        const std::size_t dist = ip - cand;
+        if (dist > kWindow) break;
+        std::size_t len = 0;
+        while (len < limit && in[cand + len] == in[ip + len]) ++len;
+        if (len > best_len) {
+          best_len = len;
+          best_dist = dist;
+          if (len == limit) break;
+        }
+      }
+    }
+    if (best_len >= kMinMatch) {
+      const auto dist1 = static_cast<std::uint32_t>(best_dist - 1);
+      const auto len3 = static_cast<std::uint32_t>(best_len - kMinMatch);
+      out.push_back(static_cast<std::uint8_t>(dist1 & 0xFF));
+      out.push_back(static_cast<std::uint8_t>((dist1 >> 8) | (len3 << 4)));
+      for (std::size_t i = 0; i < best_len; ++i) insert(ip + i);
+      ip += best_len;
+    } else {
+      out[flag_pos] |= static_cast<std::uint8_t>(1u << items);
+      out.push_back(in[ip]);
+      insert(ip);
+      ++ip;
+    }
+    if (++items == 8) items = 0;
+  }
+  return out;
+}
+
+TEST(LzssReference, MatchesAcrossSizesAndCorpora) {
+  // One engine for every input, large and small interleaved, so ring slots
+  // left over from a longer input are in place when a shorter one runs.
+  auto lzss = make_compressor(Method::lzss);
+  const std::size_t sizes[] = {1,    2,    3,     4,     17,    255,    4095,   4096,
+                               4097, 8191, 8192,  8193,  65536, 100000, 262144, 1,
+                               4096, 9000, 16384, 262143};
+  for (const std::size_t n : sizes) {
+    for (int corpus = 0; corpus < 2; ++corpus) {
+      const auto in = corpus == 0 ? random_bytes(n, 0x1225 + n) : text_bytes(n, 0x1225 + n);
+      ASSERT_EQ(compress_all(*lzss, in), reference_lzss(in)) << "n=" << n << " corpus=" << corpus;
+    }
+  }
+}
+
+TEST(LzssReference, RepeatsAtTheWindowEdge) {
+  // Random bytes repeating with period d: every match sits exactly d back,
+  // so d = 4095 and 4096 (the largest distance a token encodes) are found
+  // through links written one window earlier, and d = 4097 is out of reach.
+  auto lzss = make_compressor(Method::lzss);
+  std::size_t stream_bytes[3] = {};
+  const std::size_t periods[3] = {4095, 4096, 4097};
+  for (int i = 0; i < 3; ++i) {
+    const std::size_t d = periods[i];
+    const auto block = random_bytes(d, 0xD157 + d);
+    std::vector<std::uint8_t> in;
+    while (in.size() < 5 * d) in.insert(in.end(), block.begin(), block.end());
+    const auto stream = compress_all(*lzss, in);
+    ASSERT_EQ(stream, reference_lzss(in)) << "period " << d;
+    stream_bytes[i] = stream.size();
+  }
+  // The in-window repeats compress to match tokens; the 4097 one cannot.
+  EXPECT_LT(stream_bytes[1] * 2, stream_bytes[2]);
+  EXPECT_LT(stream_bytes[0] * 2, stream_bytes[2]);
 }
 
 TEST(CompressEngines, TextCorpusActuallyShrinks) {

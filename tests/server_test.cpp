@@ -8,12 +8,14 @@
 // exactly what a remote client would produce.
 #include "src/server/server.hpp"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -848,6 +850,73 @@ TEST(ServerFailure, FdExhaustionPausesAcceptInsteadOfSpinning) {
     ::close(fd);
   }
   // 4: the I/O thread spun; 5: no accept failure was counted.
+  EXPECT_EQ(child.finish(), 0);
+}
+
+/// Open fds of this process, counted from /proc/self/fd (the directory's
+/// own fd excluded); -1 if it cannot be read.
+int open_fd_count() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  int n = 0;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n - 1;
+}
+
+/// An fd limit under which exactly `k` more fds can be opened: the number
+/// just past the k-th free fd (the kernel hands out the lowest free one).
+rlim_t limit_leaving(int k) {
+  int fd = 0;
+  for (;; ++fd) {
+    if (::fcntl(fd, F_GETFD) < 0 && errno == EBADF && --k == 0) break;
+  }
+  return static_cast<rlim_t>(fd) + 1;
+}
+
+TEST(ServerFailure, ConstructorClosesItsFdsWhenSetupFails) {
+  // A throwing constructor runs no destructor, so Server::Server itself must
+  // close the listener (and the epoll fd) it opened when a later setup call
+  // fails, and remove the socket file it bound. The child caps its own
+  // RLIMIT_NOFILE so the listener's socket succeeds and then either
+  // epoll_create1 (one fd left) or eventfd (two left) fails with EMFILE,
+  // over a UNIX socket and over TCP.
+  if (const auto link = child_link()) {
+    ::_exit([&] {
+      rlimit saved{};
+      if (::getrlimit(RLIMIT_NOFILE, &saved) != 0) return 2;
+      for (const bool uds : {true, false}) {
+        for (const auto& [fds_left, failing_call] :
+             {std::pair{1, "epoll_create1"}, std::pair{2, "eventfd"}}) {
+          const ServerConfig cfg = uds ? uds_config(link->uds_path) : base_config();
+          const int before = open_fd_count();
+          rlimit low = saved;
+          low.rlim_cur = limit_leaving(fds_left);
+          if (before < 0 || ::setrlimit(RLIMIT_NOFILE, &low) != 0) return 2;
+          std::string error;
+          try {
+            Server server(cfg);
+          } catch (const std::runtime_error& e) {
+            error = e.what();
+          }
+          (void)::setrlimit(RLIMIT_NOFILE, &saved);
+          const int after = open_fd_count();
+          std::fprintf(stderr, "child: %s, %d fd(s) left: \"%s\", %d -> %d open fds\n",
+                       uds ? "uds" : "tcp", fds_left, error.c_str(), before, after);
+          if (error.find(failing_call) == std::string::npos) return 3;
+          if (after != before) return 4;
+          struct stat st {};
+          if (uds && ::stat(link->uds_path.c_str(), &st) == 0) return 5;
+        }
+      }
+      return 0;
+    }());
+  }
+  ChildProcess child;
+  // 3: setup failed elsewhere (or not at all); 4: an fd leaked; 5: the
+  // socket file was left behind.
   EXPECT_EQ(child.finish(), 0);
 }
 
