@@ -52,8 +52,8 @@ inline constexpr std::size_t kLfsrLaneBlocks = 256;
 /// (128 units = 1 KiB of keystream per lane, 8 KiB per full AVX2 pass).
 inline constexpr std::size_t kGeffeLaneUnits = 128;
 
-/// The three Geffe component registers' maps, borrowed from the owning
-/// GeffeKeystream (which keeps them alive): per register, the degree-step
+/// The three Geffe component registers' maps, borrowed from the
+/// process-wide tables yaea.cpp builds once: per register, the degree-step
 /// leap map D (one next_block) used to slide the 64-bit output window, and
 /// the 64-step update map U = M^64 that advances a lane's register past one
 /// emitted unit. Degrees are <= 24, so three-byte table application covers

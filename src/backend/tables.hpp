@@ -17,8 +17,9 @@
 // copyable), which is what lets the AVX2 engine gather from them directly.
 //
 // Construction stays the `Lfsr` class's job (tables are derived by probing
-// the normative bit-serial register, the bit-exactness guarantee from PR 2);
-// see Lfsr::shared_leap_tables() and Lfsr::power_tables().
+// the normative bit-serial register, which is what makes them bit-exact):
+// Lfsr::leap_tables() returns the one process-wide copy for a degree, and
+// Lfsr::power_tables() builds any other power.
 #pragma once
 
 #include <array>

@@ -7,13 +7,6 @@
 
 namespace mhhea::core {
 
-namespace {
-lfsr::Lfsr make_lfsr_for(int bits, std::uint64_t seed) {
-  const int degree = bits >= 64 ? 32 : bits;
-  return lfsr::Lfsr(lfsr::primitive_polynomial(degree), seed);
-}
-}  // namespace
-
 void CoverSource::reset() {
   throw std::logic_error("CoverSource: this source is not resettable");
 }
@@ -23,7 +16,7 @@ void CoverSource::reseed(std::uint64_t /*seed*/) {
 }
 
 LfsrCover::LfsrCover(int bits, std::uint64_t seed)
-    : lfsr_(make_lfsr_for(bits, seed)), bits_(bits), seed_(seed) {
+    : lfsr_(bits >= 64 ? 32 : bits, seed), bits_(bits), seed_(seed) {
   if (bits != 16 && bits != 32 && bits != 64) {
     throw std::invalid_argument("LfsrCover: bits must be 16, 32 or 64");
   }

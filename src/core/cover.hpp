@@ -67,11 +67,10 @@ class LfsrCover final : public CoverSource {
   LfsrCover(int bits, std::uint64_t seed);
   [[nodiscard]] std::uint64_t next_block(int bits) override;
   std::size_t next_blocks(int bits, std::span<std::uint64_t> out) override;
-  /// Re-seeds the register with the construction seed (the leap tables are
-  /// kept, so resetting is cheap).
+  /// Re-seeds the register with the construction seed (one state store).
   void reset() override;
   /// Replaces the stored seed (must be non-zero) and rewinds to it; later
-  /// reset() calls land on the new seed. Leap tables are reused.
+  /// reset() calls land on the new seed.
   void reseed(std::uint64_t seed) override;
 
  private:

@@ -1,6 +1,8 @@
 #include "src/crypto/mhhea_cipher.hpp"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -50,14 +52,123 @@ namespace {
 /// next to a sub-2us seal — the 64-byte bench cell sits below this floor so
 /// incompressible small-message throughput is untouched by construction.
 constexpr std::size_t kMinCompressBytes = 96;
+
+/// An envelope buffer whose capacity exceeds this is freed after the message
+/// that grew it, so one large message does not pin its size on the thread.
+constexpr std::size_t kScratchKeepBytes = 64 * 1024;
+
+/// The compression pre-stage's working state, one per thread: the
+/// per-method engines (built on first use — an opener may need any method a
+/// peer negotiated) and one envelope buffer per direction. None of it
+/// depends on a key, so every cipher on the thread shares it; no call
+/// re-enters another on the same thread.
+struct CompressScratch {
+  std::array<std::unique_ptr<compress::Compressor>, compress::kMethodCount> engines;
+  std::vector<std::uint8_t> seal_buf;
+  std::vector<std::uint8_t> open_buf;
+
+  /// The engine for `tag`; std::invalid_argument on an unknown tag.
+  compress::Compressor& engine(std::uint8_t tag) {
+    if (!compress::method_known(tag)) {
+      throw std::invalid_argument("MhheaCipher: unknown compression method tag");
+    }
+    auto& slot = engines[tag];
+    if (!slot) slot = compress::make_compressor(static_cast<compress::Method>(tag));
+    return *slot;
+  }
+};
+
+thread_local CompressScratch t_scratch;
+
+/// Lends one of the thread's envelope buffers to one message. On scope exit,
+/// normal or by exception, it wipes the bytes the message used (they are
+/// plaintext-derived) and frees the buffer if it grew past kScratchKeepBytes.
+/// Earlier messages wiped theirs, so the buffer is all zeros whenever it is
+/// reallocated or freed.
+class EnvelopeLease {
+ public:
+  explicit EnvelopeLease(std::vector<std::uint8_t>& buf) noexcept : buf_(buf) {}
+  EnvelopeLease(const EnvelopeLease&) = delete;
+  EnvelopeLease& operator=(const EnvelopeLease&) = delete;
+  ~EnvelopeLease() {
+    util::secure_wipe(buf_.data(), used_);
+    if (buf_.capacity() > kScratchKeepBytes) std::vector<std::uint8_t>().swap(buf_);
+  }
+
+  /// The first `n` bytes of the buffer, grown if needed; once per lease.
+  std::span<std::uint8_t> take(std::size_t n) {
+    if (buf_.size() < n) buf_.resize(n);
+    used_ = n;
+    return std::span(buf_).first(n);
+  }
+
+ private:
+  std::vector<std::uint8_t>& buf_;
+  std::size_t used_ = 0;
+};
+
+/// What a seal encrypts: the message itself (method 0), or its envelope in
+/// `lease` when compression is on, worth trying, and wins.
+struct SealBody {
+  std::span<const std::uint8_t> bytes;
+  std::uint8_t method = 0;
+};
+
+SealBody make_seal_body(compress::Method method, std::span<const std::uint8_t> msg,
+                        EnvelopeLease& lease) {
+  if (method == compress::Method::raw || msg.size() < kMinCompressBytes ||
+      !compress::probably_compressible(msg)) {
+    return {msg, 0};
+  }
+  const auto tag = static_cast<std::uint8_t>(method);
+  compress::Compressor& comp = t_scratch.engine(tag);
+  const std::size_t head = 1 + compress::varint_size(msg.size());
+  const std::span<std::uint8_t> env = lease.take(head + comp.max_compressed_size(msg.size()));
+  env[0] = tag;
+  (void)compress::varint_encode(msg.size(), env.subspan(1));
+  const std::size_t stream = comp.compress_into(msg, env.subspan(head));
+  // Strictly smaller or fall back: a compressed frame must never be larger
+  // than (or equal to) its uncompressed twin, and the fallback keeps
+  // incompressible output byte-identical to a compression-disabled cipher.
+  if (head + stream >= msg.size()) return {msg, 0};
+  return {env.first(head + stream), tag};
+}
+
+/// Decrypt an authenticated compressed container's envelope into the
+/// thread's open buffer, validate it (tag vs header, varint, declared-size
+/// cap) and decompress it into the span `sink(raw_size)` returns; returns
+/// raw_size. Every rejection here runs post-MAC and before `sink`, so a
+/// caller's buffer is never touched on failure.
+template <class Sink>
+std::size_t open_envelope(const core::Encryptor& core, const MhheaCipher::V2Opened& opened,
+                          Sink&& sink) {
+  const std::uint8_t tag = opened.header.compression;
+  compress::Compressor& comp = t_scratch.engine(tag);  // rejects unknown tags
+  const std::uint64_t bits = opened.header.message_bits;
+  if (bits % 8 != 0) {
+    throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
+  }
+  EnvelopeLease lease(t_scratch.open_buf);
+  const std::span<std::uint8_t> env = lease.take(static_cast<std::size_t>(bits / 8));
+  (void)core.decrypt_into(opened.payload, bits, env);
+  if (env.empty() || env[0] != tag) {
+    throw std::invalid_argument(
+        "MhheaCipher: envelope method does not match the header");
+  }
+  std::uint64_t raw_size = 0;
+  const std::size_t varint = compress::varint_decode(env.subspan(1), &raw_size);
+  const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
+  // The declared size is MAC-covered, but cap it against the stream's best
+  // possible ratio anyway — a hard bound beats trusting arithmetic.
+  if (raw_size > comp.max_decoded_size(stream.size())) {
+    throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
+  }
+  const auto raw = static_cast<std::size_t>(raw_size);
+  return comp.decompress_into(stream, raw, sink(raw));
+}
 }  // namespace
 
-MhheaCipher::~MhheaCipher() {
-  util::secure_wipe_object(seed_);
-  // The envelope scratch held (compressed) plaintext.
-  util::secure_wipe(z_seal_buf_.data(), z_seal_buf_.size());
-  util::secure_wipe(z_open_buf_.data(), z_open_buf_.size());
-}
+MhheaCipher::~MhheaCipher() { util::secure_wipe_object(seed_); }
 
 void MhheaCipher::set_compression(compress::Method method) {
   require_v2("set_compression");
@@ -65,36 +176,6 @@ void MhheaCipher::set_compression(compress::Method method) {
     throw std::invalid_argument("MhheaCipher::set_compression: unknown method");
   }
   compression_ = method;
-}
-
-compress::Compressor& MhheaCipher::compressor_for(std::uint8_t tag) {
-  if (!compress::method_known(tag)) {
-    throw std::invalid_argument("MhheaCipher: unknown compression method tag");
-  }
-  auto& slot = compressors_[tag];
-  if (!slot) slot = compress::make_compressor(static_cast<compress::Method>(tag));
-  return *slot;
-}
-
-MhheaCipher::SealBody MhheaCipher::make_seal_body(std::span<const std::uint8_t> msg) {
-  if (compression_ == compress::Method::raw || msg.size() < kMinCompressBytes ||
-      !compress::probably_compressible(msg)) {
-    return {msg, 0};
-  }
-  const auto tag = static_cast<std::uint8_t>(compression_);
-  compress::Compressor& comp = compressor_for(tag);
-  const std::size_t head = 1 + compress::varint_size(msg.size());
-  const std::size_t cap = head + comp.max_compressed_size(msg.size());
-  if (z_seal_buf_.size() < cap) z_seal_buf_.resize(cap);
-  z_seal_buf_[0] = tag;
-  (void)compress::varint_encode(msg.size(), std::span(z_seal_buf_).subspan(1));
-  const std::size_t stream =
-      comp.compress_into(msg, std::span(z_seal_buf_).subspan(head));
-  // Strictly smaller or fall back: a compressed frame must never be larger
-  // than (or equal to) its uncompressed twin, and the fallback keeps
-  // incompressible output byte-identical to a compression-disabled cipher.
-  if (head + stream >= msg.size()) return {msg, 0};
-  return {std::span<const std::uint8_t>(z_seal_buf_).first(head + stream), tag};
 }
 
 std::uint64_t MhheaCipher::v2_cover_seed(std::uint64_t nonce) const {
@@ -153,15 +234,15 @@ std::size_t MhheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
       // Compressed container: the header counts envelope bits, so the
       // caller's declared length is checked against the envelope's raw size
       // (decrypted into scratch — `out` stays untouched on mismatch).
-      const EnvelopeView env = decrypt_v2_envelope(opened);
-      if (env.raw_size != msg_bytes) {
-        throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
-      }
-      if (out.size() < msg_bytes) {
-        throw std::length_error("MhheaCipher::decrypt_into: output buffer too small");
-      }
-      return compressor_for(static_cast<std::uint8_t>(env.method))
-          .decompress_into(env.stream, env.raw_size, out.first(env.raw_size));
+      return open_envelope(core_, opened, [&](std::size_t raw) {
+        if (raw != msg_bytes) {
+          throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
+        }
+        if (out.size() < raw) {
+          throw std::length_error("MhheaCipher::decrypt_into: output buffer too small");
+        }
+        return out.first(raw);
+      });
     }
     if (opened.header.message_bits != message_bits) {
       throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
@@ -205,7 +286,8 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   // Compression pre-stage: seal the envelope when it wins, the message
   // itself otherwise (body.method == 0 then, and the frame is byte-identical
   // to a compression-disabled seal).
-  const SealBody body = make_seal_body(msg);
+  EnvelopeLease lease(t_scratch.seal_buf);
+  const SealBody body = make_seal_body(compression_, msg, lease);
   set_nonce(nonce);
   // Blocks land between the header and the trailer; encrypt_into's own
   // length_error covers a payload slice that cannot hold them.
@@ -244,62 +326,32 @@ MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(
   return {h, payload};
 }
 
-std::size_t MhheaCipher::decrypt_v2_blocks(const V2Opened& opened,
-                                           std::span<std::uint8_t> out) {
-  return core_.decrypt_into(opened.payload, opened.header.message_bits, out);
-}
-
-MhheaCipher::EnvelopeView MhheaCipher::decrypt_v2_envelope(const V2Opened& opened) {
-  // All structural rejections here run post-MAC and decrypt only into the
-  // instance scratch — a caller's output buffer is never touched on failure.
-  const std::uint8_t tag = opened.header.compression;
-  compress::Compressor& comp = compressor_for(tag);  // rejects unknown tags
-  const std::uint64_t bits = opened.header.message_bits;
-  if (bits % 8 != 0) {
-    throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
-  }
-  const auto env_bytes = static_cast<std::size_t>(bits / 8);
-  if (z_open_buf_.size() < env_bytes) z_open_buf_.resize(env_bytes);
-  const std::span<std::uint8_t> env = std::span(z_open_buf_).first(env_bytes);
-  (void)decrypt_v2_blocks(opened, env);
-  if (env.empty() || env[0] != tag) {
-    throw std::invalid_argument(
-        "MhheaCipher: envelope method does not match the header");
-  }
-  std::uint64_t raw_size = 0;
-  const std::size_t varint = compress::varint_decode(env.subspan(1), &raw_size);
-  const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
-  // The declared size is MAC-covered, but cap it against the stream's best
-  // possible ratio anyway — a hard bound beats trusting arithmetic.
-  if (raw_size > comp.max_decoded_size(stream.size())) {
-    throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
-  }
-  return {static_cast<compress::Method>(tag), static_cast<std::size_t>(raw_size), stream};
-}
-
 std::size_t MhheaCipher::decrypt_v2_payload(const V2Opened& opened,
                                             std::span<std::uint8_t> out) {
   require_v2("decrypt_v2_payload");
-  if (opened.header.compression == 0) return decrypt_v2_blocks(opened, out);
-  const EnvelopeView env = decrypt_v2_envelope(opened);
-  if (out.size() < env.raw_size) {
-    throw std::length_error("MhheaCipher::decrypt_v2_payload: output buffer too small");
+  if (opened.header.compression == 0) {
+    return core_.decrypt_into(opened.payload, opened.header.message_bits, out);
   }
-  return compressor_for(static_cast<std::uint8_t>(env.method))
-      .decompress_into(env.stream, env.raw_size, out.first(env.raw_size));
+  return open_envelope(core_, opened, [&](std::size_t raw) {
+    if (out.size() < raw) {
+      throw std::length_error("MhheaCipher::decrypt_v2_payload: output buffer too small");
+    }
+    return out.first(raw);
+  });
 }
 
 std::vector<std::uint8_t> MhheaCipher::open_v2_alloc(const V2Opened& opened) {
   require_v2("open_v2_alloc");
+  std::vector<std::uint8_t> msg;
   if (opened.header.compression == 0) {
-    std::vector<std::uint8_t> msg((opened.header.message_bits + 7) / 8);
-    (void)decrypt_v2_blocks(opened, msg);
+    msg.resize((opened.header.message_bits + 7) / 8);
+    (void)core_.decrypt_into(opened.payload, opened.header.message_bits, msg);
     return msg;
   }
-  const EnvelopeView env = decrypt_v2_envelope(opened);
-  std::vector<std::uint8_t> msg(env.raw_size);
-  (void)compressor_for(static_cast<std::uint8_t>(env.method))
-      .decompress_into(env.stream, env.raw_size, msg);
+  (void)open_envelope(core_, opened, [&](std::size_t raw) {
+    msg.resize(raw);
+    return std::span<std::uint8_t>(msg);
+  });
   return msg;
 }
 

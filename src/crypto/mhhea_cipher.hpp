@@ -9,7 +9,10 @@
 // once. Calls remain deterministic and independent: the cover source is
 // rewound on every call, so encrypt() is a pure function of the
 // configuration and the message. The reusable core makes calls STATEFUL
-// internally — give each thread its own instance.
+// internally — give each thread its own instance. Nothing in an instance
+// grows with traffic: its heap is the key and the core's table set, and the
+// compression pre-stage's engines and envelope buffers live once per thread
+// (mhhea_cipher.cpp).
 //
 // Framing::sealed wraps every ciphertext in the self-describing
 // core::seal/open container (frame.hpp): a 16-byte header carrying params
@@ -26,9 +29,7 @@
 // drives with its auto-incrementing counter and replay window.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/compress/compress.hpp"
@@ -70,11 +71,13 @@ class MhheaCipher final : public Cipher {
   MhheaCipher(core::Key key, const V2KeySchedule& schedule, core::BlockParams params,
               Framing framing);
 
+  // Copies are deleted so the key and schedule never exist twice.
+  MhheaCipher(const MhheaCipher&) = delete;
+  MhheaCipher& operator=(const MhheaCipher&) = delete;
   MhheaCipher(MhheaCipher&&) noexcept = default;
   MhheaCipher& operator=(MhheaCipher&&) noexcept = default;
   /// Wipes the stored seed — under sealed_v2 it is the schedule master, so
-  /// it must not outlive the cipher (key_ and sched_ wipe themselves; copies
-  /// are excluded by the unique_ptr compressor slots).
+  /// it must not outlive the cipher (key_ and sched_ wipe themselves).
   ~MhheaCipher() override;
 
   [[nodiscard]] std::string name() const override {
@@ -115,7 +118,10 @@ class MhheaCipher final : public Cipher {
   /// frame is never larger than its uncompressed twin and incompressible
   /// messages produce byte-identical uncompressed containers. Opening is
   /// always method-agnostic (the wire format self-describes), so this knob
-  /// only shapes what THIS cipher sends.
+  /// only shapes what THIS cipher sends. The cipher keeps only the method:
+  /// the engines and envelope buffers are per-thread scratch in
+  /// mhhea_cipher.cpp, wiped after every message and freed after one that
+  /// grew a buffer past 64 KiB.
   void set_compression(compress::Method method);
   [[nodiscard]] compress::Method compression() const noexcept { return compression_; }
 
@@ -161,30 +167,6 @@ class MhheaCipher final : public Cipher {
 
   /// Cover seed for sealed_v2 under `nonce` (other framings use seed_).
   [[nodiscard]] std::uint64_t v2_cover_seed(std::uint64_t nonce) const;
-  /// Lazily built engine for `tag` (any known method — the opener must be
-  /// able to decode whatever a peer negotiated, not just compression_).
-  /// std::invalid_argument on an unknown tag.
-  [[nodiscard]] compress::Compressor& compressor_for(std::uint8_t tag);
-  /// Compress `msg` into the z_buf_ envelope when compression is on and
-  /// wins; returns the bytes to seal (the envelope, or `msg` on fallback)
-  /// plus the header method tag (0 on fallback).
-  struct SealBody {
-    std::span<const std::uint8_t> bytes;
-    std::uint8_t method = 0;
-  };
-  [[nodiscard]] SealBody make_seal_body(std::span<const std::uint8_t> msg);
-  /// Decrypted-and-parsed view of a compressed container's envelope (stream
-  /// points into z_open_buf_, valid until the next open on this instance).
-  struct EnvelopeView {
-    compress::Method method = compress::Method::raw;
-    std::size_t raw_size = 0;
-    std::span<const std::uint8_t> stream;
-  };
-  /// Decrypt a compressed container's envelope into z_open_buf_ and validate
-  /// its structure (tag vs header, varint, declared-size sanity cap).
-  [[nodiscard]] EnvelopeView decrypt_v2_envelope(const V2Opened& opened);
-  /// The uncompressed block-decrypt half of decrypt_v2_payload.
-  std::size_t decrypt_v2_blocks(const V2Opened& opened, std::span<std::uint8_t> out);
   /// Point the encryptor core at `nonce`'s derived cover seed. No-op when
   /// already there — repeated seals under one nonce (every encrypt_into
   /// runs under nonce 0) skip the derivation and the reseed.
@@ -198,15 +180,7 @@ class MhheaCipher final : public Cipher {
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
   std::uint64_t cur_nonce_ = 0;  // nonce core_ is seeded for
   core::Encryptor core_;  // encrypts (cover rewound per call) and decrypts
-  // Compression pre-stage (sealed_v2 only): the outbound method knob, the
-  // lazily built per-method engines (indexed by tag — openers may need any
-  // of them), and the grow-only envelope scratch for each direction. The
-  // scratch holds plaintext-derived bytes, so the destructor wipes it along
-  // with the other secrets.
-  compress::Method compression_ = compress::Method::raw;
-  std::array<std::unique_ptr<compress::Compressor>, compress::kMethodCount> compressors_;
-  std::vector<std::uint8_t> z_seal_buf_;
-  std::vector<std::uint8_t> z_open_buf_;
+  compress::Method compression_ = compress::Method::raw;  // outbound, sealed_v2 only
   double expansion_;
 };
 

@@ -29,8 +29,10 @@ Session::Session(std::span<const std::uint8_t> master, core::Key key,
 Session::Session(std::span<const std::uint8_t> master,
                  std::span<const std::uint8_t> context, core::Key key,
                  core::BlockParams params)
-    : cipher_(std::move(key), V2KeySchedule::derive(master, context), params,
-              MhheaCipher::Framing::sealed_v2) {}
+    : Session(V2KeySchedule::derive(master, context), std::move(key), params) {}
+
+Session::Session(const V2KeySchedule& schedule, core::Key key, core::BlockParams params)
+    : cipher_(std::move(key), schedule, params, MhheaCipher::Framing::sealed_v2) {}
 
 Session Session::from_master(std::span<const std::uint8_t> master, int n_pairs,
                              core::BlockParams params) {
@@ -43,7 +45,7 @@ Session Session::from_master(std::span<const std::uint8_t> master,
   // The context feeds the schedule before the hiding key is drawn, so the
   // hiding key (not just the MAC/seed subkeys) differs per context too.
   const V2KeySchedule sched = V2KeySchedule::derive(master, context);
-  return Session(master, context, derive_hiding_key(sched, n_pairs, params), params);
+  return Session(sched, derive_hiding_key(sched, n_pairs, params), params);
 }
 
 void Session::require_nonce_available() const {

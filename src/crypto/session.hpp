@@ -143,6 +143,10 @@ class Session {
   [[nodiscard]] const MhheaCipher& cipher() const noexcept { return cipher_; }
 
  private:
+  /// The constructors' common target: `schedule` is already derived (the
+  /// from_master path derives it once, for the hiding key and the cipher).
+  Session(const V2KeySchedule& schedule, core::Key key, core::BlockParams params);
+
   /// Throws NonceExhaustedError when the seal counter sits at the sentinel.
   void require_nonce_available() const;
   /// Throws ReplayError unless `nonce` is fresh w.r.t. the window.

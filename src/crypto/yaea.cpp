@@ -3,9 +3,42 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/backend/backend.hpp"
 #include "src/util/secret.hpp"
 
 namespace mhhea::crypto {
+namespace {
+
+/// The backend Geffe kernel's maps, built once per process: per component
+/// register the 64-step window update U = M^64 and the lane-stride seeding
+/// map M^(64 * backend::kGeffeLaneUnits), plus the registers' process-wide
+/// degree-leap tables, packaged as the kernel argument. Public data: they
+/// depend on the fixed polynomials only, never on the key.
+struct GeffeTables {
+  backend::LinearMapTables upd[3];
+  backend::LinearMapTables lane[3];
+  backend::GeffeKernel kernel{};
+
+  GeffeTables() {
+    const int degrees[3] = {GeffeKeystream::kDegreeA, GeffeKeystream::kDegreeB,
+                            GeffeKeystream::kDegreeC};
+    for (int r = 0; r < 3; ++r) {
+      const lfsr::Lfsr reg(degrees[r], 1);
+      upd[r] = reg.power_tables(64);
+      lane[r] = reg.power_tables(64 * backend::kGeffeLaneUnits);
+      kernel.deg[r] = &reg.leap_tables();
+      kernel.upd[r] = &upd[r];
+      kernel.degree[r] = degrees[r];
+    }
+  }
+};
+
+const GeffeTables& geffe_tables() {
+  static const GeffeTables tables;
+  return tables;
+}
+
+}  // namespace
 
 GeffeKeystream::~GeffeKeystream() {
   a_.wipe_state();
@@ -15,9 +48,7 @@ GeffeKeystream::~GeffeKeystream() {
 
 GeffeKeystream::GeffeKeystream(std::uint32_t seed_a, std::uint32_t seed_b,
                                std::uint32_t seed_c)
-    : a_(lfsr::primitive_polynomial(kDegreeA), seed_a),
-      b_(lfsr::primitive_polynomial(kDegreeB), seed_b),
-      c_(lfsr::primitive_polynomial(kDegreeC), seed_c) {}
+    : a_(kDegreeA, seed_a), b_(kDegreeB, seed_b), c_(kDegreeC, seed_c) {}
 
 bool GeffeKeystream::next_bit() noexcept {
   const bool a = a_.step();
@@ -42,25 +73,10 @@ void GeffeKeystream::xor_bytes(std::span<const std::uint8_t> in,
   run(in.data(), out);
 }
 
-void GeffeKeystream::warm() {
-  if (lanes_ != nullptr) return;
-  auto lt = std::make_shared<LaneTables>();
-  lfsr::Lfsr* regs[3] = {&a_, &b_, &c_};
-  for (int r = 0; r < 3; ++r) {
-    lt->upd[r] = regs[r]->power_tables(64);
-    lt->lane[r] = regs[r]->power_tables(64 * backend::kGeffeLaneUnits);
-    lt->deg[r] = regs[r]->shared_leap_tables();
-    lt->kernel.deg[r] = lt->deg[r].get();
-    lt->kernel.upd[r] = &lt->upd[r];
-    lt->kernel.degree[r] = regs[r]->degree();
-  }
-  lanes_ = std::move(lt);
-}
-
 void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
   static_assert(kDegreeA <= 24 && kDegreeB <= 24 && kDegreeC <= 24,
                 "the backend Geffe kernel applies three state bytes");
-  warm();
+  const GeffeTables& tables = geffe_tables();
   const backend::Backend& be = backend::active();
   constexpr std::size_t kPassBytes = backend::kGeffeLaneUnits * 8;
   std::uint32_t a[backend::kMaxLanes] = {static_cast<std::uint32_t>(a_.state())};
@@ -77,11 +93,11 @@ void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
       // Lane l starts where lane l-1 will end: one lane-stride application
       // per register, exact by GF(2) linearity.
       for (std::size_t l = 1; l < lanes; ++l) {
-        a[l] = lanes_->lane[0].apply<3>(a[l - 1]);
-        b[l] = lanes_->lane[1].apply<3>(b[l - 1]);
-        c[l] = lanes_->lane[2].apply<3>(c[l - 1]);
+        a[l] = tables.lane[0].apply<3>(a[l - 1]);
+        b[l] = tables.lane[1].apply<3>(b[l - 1]);
+        c[l] = tables.lane[2].apply<3>(c[l - 1]);
       }
-      be.geffe_units(lanes_->kernel, a, b, c, lanes, in != nullptr ? in + done : nullptr,
+      be.geffe_units(tables.kernel, a, b, c, lanes, in != nullptr ? in + done : nullptr,
                      out.data() + done, backend::kGeffeLaneUnits);
       a[0] = a[lanes - 1];
       b[0] = b[lanes - 1];
@@ -92,7 +108,7 @@ void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
   // Every remaining whole 8-byte unit: one single-lane pass from the
   // registers' own states.
   const std::size_t units = (out.size() - done) / 8;
-  be.geffe_units(lanes_->kernel, a, b, c, 1, in != nullptr ? in + done : nullptr,
+  be.geffe_units(tables.kernel, a, b, c, 1, in != nullptr ? in + done : nullptr,
                  out.data() + done, units);
   a_.set_state(a[0]);
   b_.set_state(b[0]);
@@ -108,9 +124,7 @@ Yaea::Yaea(KeyType key)
     : key_(key),
       // Constructing the prototype validates the seeds eagerly (the registry
       // contract: bad configurations fail at construction, not mid-sweep).
-      ks_proto_(key.seed_a, key.seed_b, key.seed_c) {
-  ks_proto_.warm();
-}
+      ks_proto_(key.seed_a, key.seed_b, key.seed_c) {}
 
 Yaea::~Yaea() { util::secure_wipe_object(key_); }
 

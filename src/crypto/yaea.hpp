@@ -20,11 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/backend/backend.hpp"
 #include "src/crypto/cipher.hpp"
 #include "src/lfsr/lfsr.hpp"
 
@@ -44,8 +42,9 @@ class GeffeKeystream {
   // The three register states ARE the 96-bit YAEA-S key (unlike the MHHEA
   // cover seed, which is a nonce — cover.hpp), so every keystream instance
   // wipes them on destruction. Copies are the per-call working pattern
-  // and each wipes its own states; the shared leap tables they
-  // carry are key-independent public data.
+  // and each wipes its own states; a copy is the three states and the
+  // pointers to the registers' process-wide tables (public data), nothing
+  // more.
   GeffeKeystream(const GeffeKeystream&) = default;
   GeffeKeystream& operator=(const GeffeKeystream&) = default;
   GeffeKeystream(GeffeKeystream&&) noexcept = default;
@@ -77,31 +76,12 @@ class GeffeKeystream {
   /// stream exactly like next_bytes(out).
   void xor_bytes(std::span<const std::uint8_t> in, std::span<std::uint8_t> out);
 
-  /// Build the backend kernel tables in place without advancing the
-  /// stream (the first bulk pull does it otherwise). Copies share the built
-  /// tables, so warming one long-lived prototype makes per-message copies
-  /// start on the fast path immediately.
-  void warm();
-
  private:
-  /// Precomputed linear maps for the backend Geffe kernel, shared across
-  /// copies: per component register, the 64-step window update U = M^64 and
-  /// the lane-stride seeding map M^(64 * backend::kGeffeLaneUnits); plus
-  /// borrowed pointers to the registers' own degree-leap tables, packaged
-  /// as the kernel argument.
-  struct LaneTables {
-    backend::LinearMapTables upd[3];
-    backend::LinearMapTables lane[3];
-    std::shared_ptr<const backend::LinearMapTables> deg[3];
-    backend::GeffeKernel kernel{};
-  };
-
   /// Shared body of next_bytes (in == nullptr: raw keystream) and
   /// xor_bytes (in: XOR source of out.size() bytes).
   void run(const std::uint8_t* in, std::span<std::uint8_t> out);
 
   lfsr::Lfsr a_, b_, c_;  // [[mhhea::secret]] register states are the key
-  std::shared_ptr<const LaneTables> lanes_;  // built by warm(), shared by copies
 };
 
 /// 96-bit-keyed stream cipher: ciphertext = plaintext XOR keystream.
@@ -140,8 +120,8 @@ class Yaea final : public Cipher {
 
  private:
   KeyType key_;  // [[mhhea::secret]] the three Geffe seeds
-  /// Pristine keystream at the seed state with warmed tables; every call
-  /// copies it (cheap — tables are shared) instead of re-deriving them.
+  /// Pristine keystream at the seed state; every call copies it (three
+  /// register states) instead of re-validating the seeds.
   GeffeKeystream ks_proto_;
 };
 

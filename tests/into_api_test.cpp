@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/cover.hpp"
@@ -67,6 +68,22 @@ std::vector<std::uint8_t> random_message(util::Xoshiro256& rng, std::size_t n) {
   for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
   return msg;
 }
+
+/// Log lines: compressible, so MHHEA-sealed-v2-z's lzss pre-stage engages
+/// (random bytes fall back to the uncompressed layout and never reach it).
+std::vector<std::uint8_t> log_text(util::Xoshiro256& rng, std::size_t n) {
+  std::vector<std::uint8_t> out;
+  out.reserve(n + 64);
+  while (out.size() < n) {
+    const std::string line = "level=INFO msg=\"request sealed\" conn=" +
+                             std::to_string(rng.below(1024)) + " status=ok\n";
+    out.insert(out.end(), line.begin(), line.end());
+  }
+  out.resize(n);
+  return out;
+}
+
+constexpr std::string_view kZCipher = "MHHEA-sealed-v2-z";
 
 /// The acceptance sweep sizes: boundary lengths (empty, sub-frame, frame,
 /// 1 KiB neighbours) up to 20000 bytes.
@@ -179,13 +196,17 @@ TEST(YaeaAliasing, InPlaceRoundTrip) {
 // scratch only).
 TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
   util::Xoshiro256 rng(0x0A11);
-  const auto msg = random_message(rng, 16384);
+  const auto random = random_message(rng, 16384);
+  const auto text = log_text(rng, 16384);
   // MHHEA-sealed-v2 rides the same contract: header write + SipHash trailer
-  // stay on the stack, so authentication adds no allocations.
-  for (const char* name : {"MHHEA", "HHEA", "YAEA-S", "MHHEA-sealed-v2"}) {
+  // stay on the stack, so authentication adds no allocations. The -z cipher
+  // compresses into the thread's envelope buffer, kept between messages of
+  // up to 64 KiB.
+  for (const char* name : {"MHHEA", "HHEA", "YAEA-S", "MHHEA-sealed-v2", "MHHEA-sealed-v2-z"}) {
+    const auto& msg = name == kZCipher ? text : random;
     auto cipher = CipherRegistry::builtin().make(name, 0xACE1);
     std::vector<std::uint8_t> out(cipher->max_ciphertext_size(msg.size()));
-    // Warm: first calls may build lazy LFSR leap tables and grow scratch.
+    // Warm: first calls may build the compression engine and grow scratch.
     const std::size_t expected = cipher->encrypt_into(msg, out);
     (void)cipher->encrypt_into(msg, out);
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
@@ -194,6 +215,11 @@ TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
     const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u) << name << ": warmed encrypt_into loop allocated";
     EXPECT_EQ(n, expected) << name;
+    // An uncompressed hiding seal expands ~5x; under 2x means the envelope
+    // was sealed.
+    if (name == kZCipher) {
+      EXPECT_LT(n, 2 * msg.size()) << name << ": text not compressed";
+    }
   }
 }
 
@@ -203,13 +229,19 @@ TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
 TEST(ZeroAllocation, WarmedDecryptIntoLoop) {
   util::Xoshiro256 rng(0xDEC0);
   const auto small = random_message(rng, 64);
-  const auto msg = random_message(rng, 16384);
-  for (const char* name : {"MHHEA", "MHHEA-sealed", "HHEA", "YAEA-S"}) {
+  const auto random = random_message(rng, 16384);
+  const auto text = log_text(rng, 16384);
+  for (const char* name : {"MHHEA", "MHHEA-sealed", "HHEA", "YAEA-S", "MHHEA-sealed-v2-z"}) {
+    // The -z cipher decrypts its envelope into the thread's buffer, which
+    // grows to the largest envelope seen: it warms on the measured message.
+    const bool z = name == kZCipher;
+    const auto& msg = z ? text : random;
+    const auto& warm = z ? text : small;
     auto cipher = CipherRegistry::builtin().make(name, 0xACE1);
-    const auto small_ct = cipher->encrypt(small);
+    const auto warm_ct = cipher->encrypt(warm);
     const auto ct = cipher->encrypt(msg);
     std::vector<std::uint8_t> out(msg.size());
-    (void)cipher->decrypt_into(small_ct, small.size(), out);
+    (void)cipher->decrypt_into(warm_ct, warm.size(), out);
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
     const std::size_t n = cipher->decrypt_into(ct, msg.size(), out);
     const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);

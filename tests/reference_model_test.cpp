@@ -372,7 +372,7 @@ TEST(ReferenceLfsr, StepBitsMatchesNaiveBitSerial) {
   std::mt19937_64 rng(0x5EED0001);
   for (const int degree : {3, 16, 17, 19, 23, 32}) {
     const std::uint64_t seed = nonzero_seed(rng, degree);
-    lfsr::Lfsr prod(lfsr::primitive_polynomial(degree), seed);
+    lfsr::Lfsr prod(degree, seed);
     ref::Lfsr naive(degree, seed);
     // Interleave random-size next_blocks pulls with single steps so every
     // bulk pull starts mid-stream, off any block boundary; one pull in
@@ -399,7 +399,7 @@ TEST(ReferenceLfsr, NextBlockMatchesNaiveBitSerial) {
   std::mt19937_64 rng(0x5EED0002);
   for (const int degree : {16, 17, 32}) {
     const std::uint64_t seed = nonzero_seed(rng, degree);
-    lfsr::Lfsr prod(lfsr::primitive_polynomial(degree), seed);
+    lfsr::Lfsr prod(degree, seed);
     ref::Lfsr naive(degree, seed);
     for (int round = 0; round < 100; ++round) {
       for (int i = 0; i < degree; ++i) naive.step();

@@ -2,9 +2,14 @@
 // messages. A counting global allocator (the into_api_test idiom, counting
 // live bytes instead of calls) measures the bytes an object still holds
 // after construction and after it has handled a message:
-//   * a raw-compression Session holds one key and one core (one table set,
-//     no cover prefetch buffer), and a message does not leave
-//     message-sized scratch behind;
+//   * a Session holds one key and one core (one table set, no cover
+//     prefetch buffer), and a message — raw or compressed, small or large —
+//     leaves nothing behind in it: keystream tables are process-wide and
+//     compression scratch is per thread;
+//   * a thread's compression scratch is back under its bound once its
+//     sessions are gone: one engine per method and two envelope buffers of
+//     at most 64 KiB;
+//   * a registry YAEA-S instance holds its key and nothing else;
 //   * an LZSS compressor's match-search scratch is bounded by its window,
 //     not by the largest input it has seen.
 #include <gtest/gtest.h>
@@ -15,9 +20,12 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/compress/compress.hpp"
+#include "src/crypto/registry.hpp"
 #include "src/crypto/session.hpp"
 #include "src/util/rng.hpp"
 
@@ -77,9 +85,26 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// Log lines: compressible, so the lzss and huffman pre-stages engage.
+std::vector<std::uint8_t> log_text(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out;
+  out.reserve(n + 64);
+  while (out.size() < n) {
+    const std::string line = "level=INFO msg=\"request sealed\" conn=" +
+                             std::to_string(rng.below(1024)) +
+                             " latency_us=" + std::to_string(rng.below(10000)) + " status=ok\n";
+    out.insert(out.end(), line.begin(), line.end());
+  }
+  out.resize(n);
+  return out;
+}
+
+const std::vector<std::uint8_t> kMaster(32, 0x42);
+
 TEST(RetainedHeap, RawSessionHoldsOneCoreIdleAndAfterAMessage) {
   using crypto::Session;
-  const std::vector<std::uint8_t> master(32, 0x42);
+  const std::vector<std::uint8_t>& master = kMaster;
   const auto msg = random_bytes(16384, 0x5E55);
   // Process-wide state built on first use (backend dispatch, polynomial
   // tables) is not the session's: build it on a throwaway session first.
@@ -102,10 +127,91 @@ TEST(RetainedHeap, RawSessionHoldsOneCoreIdleAndAfterAMessage) {
   // Checked only now: a failed expectation allocates its report.
   // One 8-pair key and its one table set (8 x 528 B) plus the cover.
   EXPECT_LE(idle, 8 * 1024) << "bytes held by an idle raw Session";
-  // The same, plus the cover's lane-stride tables (built on the first
-  // message long enough to use lanes).
-  EXPECT_LE(used, 16 * 1024) << "bytes held by a raw Session after a 16 KiB seal and open";
+  // The cover's lane-stride tables are process-wide, so a message long
+  // enough to use lanes adds nothing.
+  EXPECT_EQ(used, idle) << "bytes held by a raw Session after a 16 KiB seal and open";
   EXPECT_EQ(left, 0) << "bytes a dead Session left behind";
+}
+
+/// Live bytes of a sealer/opener Session pair — what mhhead keeps per
+/// connection, compression `method` set on the sealer — idle and after one
+/// seal and open of `msg`.
+struct PairHeap {
+  std::int64_t idle = 0;
+  std::int64_t used = 0;
+  bool round_trip = false;
+};
+
+PairHeap session_pair_heap(compress::Method method, const std::vector<std::uint8_t>& msg) {
+  const std::int64_t base = live_bytes();
+  crypto::Session sealer = crypto::Session::from_master(kMaster);
+  crypto::Session opener = crypto::Session::from_master(kMaster);
+  sealer.set_compression(method);
+  PairHeap h;
+  h.idle = live_bytes() - base;
+  {
+    const auto sealed = sealer.seal(msg);
+    h.round_trip = opener.open(sealed) == msg;
+  }
+  h.used = live_bytes() - base;
+  return h;
+}
+
+TEST(RetainedHeap, SessionPairHoldsItsIdleHeapAndTheThreadBoundedScratch) {
+  constexpr compress::Method kMethods[] = {compress::Method::raw, compress::Method::lzss,
+                                           compress::Method::huffman};
+  constexpr std::size_t kSizes[] = {std::size_t{16} << 10, std::size_t{1} << 20};
+  struct Row {
+    compress::Method method;
+    std::size_t size;
+    PairHeap heap;
+  };
+  std::vector<Row> rows;
+  rows.reserve(std::size(kMethods) * std::size(kSizes));
+  std::int64_t scratch = 0;
+  // Process-wide state (backend dispatch, keystream tables) is built here,
+  // off the measured thread.
+  (void)session_pair_heap(compress::Method::raw, random_bytes(16384, 1));
+  // A fresh thread, so its compression scratch is counted from before its
+  // first compressed message.
+  std::thread([&] {
+    const std::int64_t base = live_bytes();
+    for (const compress::Method method : kMethods) {
+      for (const std::size_t size : kSizes) {
+        const auto msg = log_text(size, 0x7E47 + size);
+        // The first pair brings the thread's scratch to where this message
+        // leaves it; the second must then hold exactly its idle heap.
+        (void)session_pair_heap(method, msg);
+        rows.push_back({method, size, session_pair_heap(method, msg)});
+      }
+    }
+    scratch = live_bytes() - base;
+  }).join();
+  // Checked only now: a failed expectation allocates its report.
+  for (const Row& r : rows) {
+    EXPECT_TRUE(r.heap.round_trip) << compress::method_name(r.method) << " " << r.size;
+    EXPECT_EQ(r.heap.used, r.heap.idle)
+        << "bytes a Session pair gained from one " << compress::method_name(r.method) << " "
+        << r.size << " B seal and open (idle " << r.heap.idle << " B)";
+  }
+  // One LZSS engine (~48 KiB), the Huffman engine and two envelope buffers
+  // of at most 64 KiB each.
+  EXPECT_LE(scratch, 192 * 1024) << "bytes the thread's compression scratch holds";
+}
+
+TEST(RetainedHeap, RegistryYaeaHoldsOnlyItsKey) {
+  const auto msg = random_bytes(16384, 0x7AEA);
+  std::vector<std::uint8_t> out(msg.size());
+  const auto& registry = crypto::CipherRegistry::builtin();
+  // Process-wide state (the registry, backend dispatch, Geffe tables).
+  (void)registry.make("YAEA-S", 0xACE1)->encrypt_into(msg, out);
+  const std::int64_t base = live_bytes();
+  auto cipher = registry.make("YAEA-S", 0xACE1);
+  const std::int64_t idle = live_bytes() - base;
+  (void)cipher->encrypt_into(msg, out);
+  const std::int64_t used = live_bytes() - base;
+  EXPECT_LE(idle, 1024) << "bytes held by an idle registry YAEA-S";
+  EXPECT_LE(used, 1024) << "bytes held by a registry YAEA-S after a 16 KiB encrypt";
 }
 
 TEST(RetainedHeap, LzssScratchIsBoundedByTheWindow) {

@@ -18,10 +18,13 @@
 #include <cstring>
 #include <new>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/compress/compress.hpp"
 #include "src/core/cover.hpp"
+#include "src/core/frame.hpp"
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/crypto/mac.hpp"
@@ -254,7 +257,7 @@ bool buffer_contains_word(const unsigned char* buf, std::size_t len, std::uint64
 }
 
 TEST(LfsrWipe, WipeStateZeroesTheRegister) {
-  lfsr::Lfsr reg(lfsr::primitive_polynomial(17), 0x1ACE);
+  lfsr::Lfsr reg(17, 0x1ACE);
   reg.advance(8);
   ASSERT_NE(reg.state(), 0u);
   reg.wipe_state();
@@ -276,7 +279,7 @@ TEST(SecretWipe, GeffeRegisterStatesWipedOnDestruction) {
                           GeffeKeystream::kDegreeC};
   const std::uint64_t seeds[3] = {0x1ACE, 0x2BEEF, 0x3CAFE};
   for (int r = 0; r < 3; ++r) {
-    lfsr::Lfsr ref(lfsr::primitive_polynomial(degrees[r]), seeds[r]);
+    lfsr::Lfsr ref(degrees[r], seeds[r]);
     for (int i = 0; i < 8; ++i) (void)ref.step();
     EXPECT_FALSE(buffer_contains_word(buf, sizeof(buf), ref.state()))
         << "register " << r << " state survived destruction";
@@ -330,6 +333,48 @@ TEST(SecretWipe, SessionLeavesNoSubkeysInFreedCipherState) {
     EXPECT_NE(0, std::memcmp(raw + off, mac_key.data(), crypto::kMacKeyBytes))
         << "MAC subkey survived in the dead Session at offset " << off;
   }
+}
+
+// --- compression scratch: a large envelope buffer freed, zeroed -----------
+
+// The thread's envelope buffers hold plaintext-derived bytes. A message whose
+// envelope buffer outgrows the 64 KiB keep limit must free it before the call
+// returns, and it must reach free() all zeros — on the sealing side (sized by
+// the compressor's worst case) and on the opening side (the envelope).
+TEST(SecretWipe, LargeEnvelopeBuffersFreedZeroedDuringTheCall) {
+  using crypto::Session;
+  std::vector<std::uint8_t> msg;
+  for (int i = 0; msg.size() < std::size_t{128} << 10; ++i) {
+    const std::string line = "level=INFO msg=\"request sealed\" conn=" +
+                             std::to_string(i * 7919 % 1024) + " status=ok\n";
+    msg.insert(msg.end(), line.begin(), line.end());
+  }
+  msg.resize(std::size_t{128} << 10);
+  const std::vector<std::uint8_t> master(32, 0x77);
+  Session sealer = Session::from_master(master);
+  Session opener = Session::from_master(master);
+  // Huffman keeps this text's envelope above 64 KiB (LZSS would not).
+  sealer.set_compression(compress::Method::huffman);
+  const std::size_t seal_buf =
+      1 + compress::varint_size(msg.size()) +
+      compress::make_compressor(compress::Method::huffman)->max_compressed_size(msg.size());
+
+  watch_next_allocation(seal_buf);
+  const std::vector<std::uint8_t> sealed = sealer.seal(msg);
+  EXPECT_EQ(g_watch_next_len.load(), 0u) << "no sealing envelope buffer allocation seen";
+  EXPECT_EQ(g_watch_zeroed.load(), 1) << "sealing envelope buffer not freed zeroed in the call";
+  watch(nullptr, 0);
+
+  std::span<const std::uint8_t> payload;
+  const core::FrameHeader h = core::frame_decode(sealed, &payload);
+  ASSERT_NE(h.compression, 0) << "the text was not compressed";
+  const auto env_bytes = static_cast<std::size_t>(h.message_bits / 8);
+  ASSERT_GT(env_bytes, std::size_t{64} << 10) << "the envelope fits the keep limit";
+  watch_next_allocation(env_bytes);
+  EXPECT_EQ(opener.open(sealed), msg);
+  EXPECT_EQ(g_watch_next_len.load(), 0u) << "no opening envelope buffer allocation seen";
+  EXPECT_EQ(g_watch_zeroed.load(), 1) << "opening envelope buffer not freed zeroed in the call";
+  watch(nullptr, 0);
 }
 
 }  // namespace
