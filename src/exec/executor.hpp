@@ -1,19 +1,22 @@
-// Persistent FIFO thread pool — the one thread home for every concurrent
-// path in the repo.
+// Persistent FIFO thread pool.
 //
-// Why it exists: a pool built per request pays thread spawn/join on every
-// dispatch, and a long-lived server cannot afford that. The Executor is
-// constructed once (usually the process-wide shared() instance, sized to
-// hardware concurrency) and the daemon's request handlers run on it. Each
-// message is encrypted or decrypted sequentially on one thread; the
-// parallelism here is across messages.
+// Its only caller is perfbench's executor-hop probe (`exec.hop_*`,
+// `exec.workers`): the mhhead daemon runs each connection's crypto inline
+// on the reactor thread that owns the connection (src/server/server.hpp),
+// so nothing in the library submits work here any more. It stays until a
+// benchmark change replaces that probe.
+//
+// Why a persistent pool: one built per request pays thread spawn/join on
+// every dispatch. The Executor is constructed once (usually the
+// process-wide shared() instance, sized to hardware concurrency). Each task
+// runs sequentially on one thread; the parallelism is across tasks.
 //
 // Design: one mutex, one condition variable and one queue of tasks served
-// in submission order. Tasks are coarse (a whole request), so contention is
-// on the order of the task count, not the work, and the locking is
-// trivially ThreadSanitizer-clean. The destructor drains: every queued task
-// runs to completion before the workers join. Submission after shutdown
-// began throws std::runtime_error.
+// in submission order. Tasks are coarse, so contention is on the order of
+// the task count, not the work, and the locking is trivially
+// ThreadSanitizer-clean. The destructor drains: every queued task runs to
+// completion before the workers join. Submission after shutdown began
+// throws std::runtime_error.
 #pragma once
 
 #include <condition_variable>

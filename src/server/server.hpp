@@ -1,21 +1,28 @@
 // mhhead — the long-lived encryption service daemon.
 //
-// Architecture: ONE epoll I/O thread owns every socket; crypto runs as tasks
-// on the process-wide FIFO executor (src/exec/executor.hpp). The
-// I/O thread never blocks on crypto and the executor threads never touch a
-// file descriptor — completed responses travel back over a completion queue
-// drained via an eventfd wakeup. Per connection the daemon keeps a pair of
-// crypto::Sessions (outbound seals under the s2c context, inbound opens
-// under c2s — both derived from the master secret plus the random
-// per-connection salt carried by the hello frame, see protocol.hpp), and a
-// `busy` flag serializes requests per connection so a Session is only ever
-// driven by one executor task at a time — pipelined requests queue in
-// arrival order.
+// Architecture: N reactor threads, N being the CPUs in the process's
+// affinity mask (sched_getaffinity, so `taskset` sets it). Each reactor owns
+// an epoll set, its connections and their crypto::Session pairs, and runs a
+// connection's seals and opens inline on that thread: a request is read,
+// sealed or opened, and answered without crossing threads. Reactor 0 also
+// accepts: it derives the connection's Session pair (outbound seals under
+// the s2c context, inbound opens under c2s — both from the master secret
+// plus the random per-connection salt the hello frame carries, see
+// protocol.hpp), sends the hello itself and then hands the connection to
+// the next reactor in round-robin order through that reactor's inbox and
+// eventfd. A connection's requests run in arrival order by construction;
+// a reactor runs at most one crypto request per connection per loop turn,
+// so one connection's pipelined max-frame seals cannot starve the others
+// on its reactor for more than a request at a time.
 //
 // Overload policy is explicit, not emergent: at most `max_inflight` crypto
-// requests run or wait in the executor at once; a request arriving beyond
-// that is answered immediately with Status::kOverloaded (retriable) and
-// costs no crypto work — the daemon sheds instead of queuing without bound.
+// requests are admitted and not yet answered across the server, counted
+// from the moment a request's frame is parsed, queued or running. A request
+// parsed beyond that keeps no body and is answered with
+// Status::kOverloaded (retriable) in its turn, at no crypto cost — the
+// daemon sheds instead of queuing without bound. A connection whose
+// unflushed responses exceed 256 KiB runs no further request until its
+// client reads them.
 // Connections beyond `max_connections` are accepted and closed on the spot.
 // A connection that starts a frame and stalls (slow loris) is cut when the
 // partial frame outlives `request_timeout_ms`; so is one that stops reading
@@ -33,9 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/compress/compress.hpp"
@@ -54,9 +58,9 @@ struct ServerConfig {
   std::vector<std::uint8_t> master;
   /// Hiding-key pair count forwarded to Session::from_master.
   int n_pairs = 8;
-  /// Crypto requests allowed in flight across all connections before the
-  /// server sheds with kOverloaded. 0 sheds every request (a deterministic
-  /// overload for tests).
+  /// Crypto requests admitted and not yet answered (queued or running)
+  /// across all connections before the server sheds with kOverloaded.
+  /// 0 sheds every request (a deterministic overload for tests).
   int max_inflight = 128;
   /// Live connections beyond this are closed straight after accept.
   int max_connections = 1024;
@@ -96,9 +100,9 @@ class Server {
   /// stop()s if still running.
   ~Server();
 
-  /// Spawn the I/O thread and begin serving.
+  /// Spawn the reactor threads and begin serving.
   void start();
-  /// Stop accepting, close every connection, join the I/O thread. Idempotent.
+  /// Stop accepting, close every connection, join the reactors. Idempotent.
   void stop();
 
   /// The bound TCP port (0 when listening on a UNIX socket).
@@ -108,58 +112,53 @@ class Server {
 
  private:
   struct Conn;
+  struct Reactor;
 
-  void io_loop();
+  void run(Reactor& r);
   void handle_accept();
+  /// Register a connection handed over by reactor 0 with `r`'s epoll set.
+  void adopt(Reactor& r, const std::shared_ptr<Conn>& conn);
   void handle_readable(const std::shared_ptr<Conn>& conn);
   void handle_writable(const std::shared_ptr<Conn>& conn);
-  /// Start the next queued request on `conn` if it is idle: ping answered
-  /// inline, crypto dispatched to the executor or shed.
+  /// Answer `conn`'s queued requests in order up to and including one
+  /// crypto request, run inline; a connection with more left goes back on
+  /// its reactor's ready list for the next loop turn.
   void pump_requests(const std::shared_ptr<Conn>& conn);
+  void mark_ready(const std::shared_ptr<Conn>& conn);
+  /// Append a response frame to the connection's write buffer (starting the
+  /// write-stall clock if it was empty) and flush opportunistically.
   void queue_response(const std::shared_ptr<Conn>& conn, Status status,
                       std::span<const std::uint8_t> body);
-  /// Append raw response bytes to the connection's write buffer (starting
-  /// the write-stall clock if it was empty) and flush opportunistically.
-  void append_wbuf(const std::shared_ptr<Conn>& conn,
-                   std::span<const std::uint8_t> bytes);
-  void drain_completions();
   void close_conn(const std::shared_ptr<Conn>& conn);
-  void sweep_timeouts();
+  void sweep_timeouts(Reactor& r);
   void update_epoll(const std::shared_ptr<Conn>& conn);
-  /// Arm or disarm EPOLLIN on the listener. Out of fds, a level-triggered
-  /// listener would report the queued connection again at once, forever;
-  /// accept is paused instead until a connection closes or a tick passes.
+  /// Arm or disarm EPOLLIN on the listener (reactor 0). Out of fds, a
+  /// level-triggered listener would report the queued connection again at
+  /// once, forever; accept is paused instead until a tick passes.
   void set_accepting(bool on);
 
   ServerConfig cfg_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: completion-queue and stop wakeups
   std::uint16_t port_ = 0;
-  std::thread io_thread_;
+  std::vector<std::unique_ptr<Reactor>> reactors_;
   // Serializes start()/stop() (and the destructor's stop()): concurrent
-  // stop() calls would otherwise race on io_thread_.join(), which is UB.
+  // stop() calls would otherwise race on joining the reactor threads, which
+  // is UB.
   std::mutex lifecycle_mu_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
-  // Listener arming, I/O thread only (see set_accepting).
+  // Reactor 0 only: listener arming (see set_accepting) and the round-robin
+  // cursor over reactors_ for accepted connections.
   bool accepting_ = true;
   std::chrono::steady_clock::time_point accept_paused_at_;
+  std::size_t next_reactor_ = 0;
 
-  std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // I/O thread only
-  // Admitted crypto tasks not yet fully finished. Incremented on the I/O
-  // thread before submit; decremented by the task itself AFTER its eventfd
-  // wake (its very last member access), so io_loop's shutdown drain gate
-  // (`inflight_ == 0`) proves no task can still touch the Server.
+  // Live connections across reactors (the max_connections cap) and crypto
+  // requests admitted but not yet answered (the max_inflight budget).
+  std::atomic<int> live_conns_{0};
   std::atomic<int> inflight_{0};
 
-  // Executor tasks push {conn, response}; the I/O thread drains after an
-  // eventfd wakeup.
-  std::mutex completion_mu_;
-  std::vector<std::pair<std::shared_ptr<Conn>, std::vector<std::uint8_t>>> completions_;
-
-  // Stats counters (atomic: written on both the I/O thread and executor
-  // threads, read from any).
+  // Stats counters (atomic: written by every reactor, read from any thread).
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_conns_{0};
   std::atomic<std::uint64_t> requests_ok_{0};

@@ -1,16 +1,22 @@
 # server_smoke ctest: the daemon and the open-loop load generator end to end.
-# mhhead is started on a UNIX domain socket, bench_server fires a short
-# Poisson burst at fixed rates, and the emitted JSON must report nonzero
-# goodput plus every latency-percentile key — so a daemon that stops
-# answering, or a harness that stops measuring, fails `ctest` rather than
-# only the CI artifact step.
+# mhhead is started on a UNIX domain socket, bench_server probes its
+# saturation and fires short Poisson bursts at 0.25/0.5/1/2x that rate, and
+# the emitted JSON must report nonzero goodput plus every latency-percentile
+# key — so a daemon that stops answering, or a harness that stops
+# measuring, fails `ctest` rather than only the CI artifact step.
 #
 # The daemon runs with a deliberately tiny in-flight budget (2) against more
-# connections (4), so the high-rate run exercises the shedding path as well.
+# connections (4), so the 2x-saturation run exercises the shedding path as
+# well. The rates come from the probe, not from fixed numbers: a fixed rate
+# far below what the host serves sheds only while requests linger in the
+# server, so it would test the daemon's slowness rather than its overload
+# control.
 #
 # Invoked as:
 #   cmake -DSERVER_BIN=<mhhead> -DLOADGEN_BIN=<bench_server>
 #         -DOUT_JSON=<path> -DWORK_DIR=<dir> -P server_smoke.cmake
+# SERVER_BIN is a shell command line, so it may carry a launcher:
+# -DSERVER_BIN="taskset -c 0 <mhhead>" runs the daemon with one reactor.
 cmake_minimum_required(VERSION 3.24)  # script mode: opt into modern policies
 foreach(var SERVER_BIN LOADGEN_BIN OUT_JSON WORK_DIR)
   if(NOT DEFINED ${var})
@@ -30,7 +36,7 @@ file(REMOVE "${sock}" "${OUT_JSON}" "${pidfile}" "${server_log}")
 # listens), and leave the pid behind for the shutdown step.
 execute_process(
   COMMAND "${BASH_EXE}" -c "\
-    '${SERVER_BIN}' --uds '${sock}' \
+    ${SERVER_BIN} --uds '${sock}' \
       --master 00112233445566778899aabbccddeeff --max-inflight 2 \
       > '${server_log}' 2>&1 & \
     echo $! > '${pidfile}'; \
@@ -45,11 +51,11 @@ if(NOT daemon_rc EQUAL 0)
   message(FATAL_ERROR "server_smoke: mhhead did not become READY:\n${daemon_out}")
 endif()
 
-# Fixed rates keep the smoke fast and deterministic-ish; the second rate is
-# far above what max-inflight 2 can serve, forcing sheds.
+# The probe-derived sweep's 2x-saturation run is beyond what max-inflight 2
+# can serve, forcing sheds.
 execute_process(
   COMMAND "${LOADGEN_BIN}" --uds "${sock}" --conns 4 --msg-bytes 256
-          --probe-secs 1 --secs 2 --qps 200,4000 --out "${OUT_JSON}"
+          --probe-secs 1 --secs 2 --out "${OUT_JSON}"
   RESULT_VARIABLE load_rc)
 
 # Shut the daemon down (SIGINT → graceful drain) whatever the loadgen did.

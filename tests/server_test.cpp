@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -20,6 +21,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <exception>
 #include <optional>
 #include <string>
 #include <thread>
@@ -86,16 +90,20 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  void send_raw(std::span<const std::uint8_t> bytes) {
+  /// Send every byte; false once the connection fails (the server cut it).
+  bool send_all(std::span<const std::uint8_t> bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
       // MSG_NOSIGNAL: a server that died mid-test fails the write, not the
       // whole test binary.
       const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
+      if (n <= 0) return false;
       off += static_cast<std::size_t>(n);
     }
+    return true;
   }
+
+  void send_raw(std::span<const std::uint8_t> bytes) { ASSERT_TRUE(send_all(bytes)); }
 
   void send_request(Op op, std::span<const std::uint8_t> body) {
     send_raw(encode_request(op, body));
@@ -154,7 +162,8 @@ class Client {
   }
 
   int fd_ = -1;
-  FrameParser parser_;
+  // Responses outgrow requests: a max-frame seal answers with several MiB.
+  FrameParser parser_{kMaxFrameDefault * 16};
   std::vector<std::uint8_t> salt_;
   std::uint8_t methods_ = 0;
 };
@@ -586,8 +595,12 @@ TEST(ServerFailure, NeverReadingClientIsCutByWriteTimeout) {
   // after a few frames. The client keeps sending complete requests (so the
   // slow-loris mid-frame sweep never fires) but reads nothing.
   Client hoarder(server.port(), /*rcvbuf=*/4096);
-  const std::vector<std::uint8_t> big(512 * 1024, 0x5A);
-  for (int i = 0; i < 16; ++i) hoarder.send_request(Op::kSeal, big);
+  const auto request = encode_request(Op::kSeal, std::vector<std::uint8_t>(512 * 1024, 0x5A));
+  // A reactor reads between the seals it runs, so a slow (sanitized) build
+  // may cut the hoarder before it has sent everything: that is the cut.
+  for (int i = 0; i < 16; ++i) {
+    if (!hoarder.send_all(request)) break;
+  }
   // The write-stall sweep must cut the connection instead of pinning its
   // wbuf and connection slot forever.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -656,6 +669,14 @@ struct Link {
     pollfd p{in, POLLIN, 0};
     char c = 0;
     return ::poll(&p, 1, ms) == 1 && ::read(in, &c, 1) == 1;
+  }
+  /// A measurement instead of a bare signal.
+  void post_value(double v) const { (void)!::write(out, &v, sizeof(v)); }
+  [[nodiscard]] std::optional<double> wait_value(int ms) const {
+    pollfd p{in, POLLIN, 0};
+    double v = 0;
+    if (::poll(&p, 1, ms) != 1 || ::read(in, &v, sizeof(v)) != sizeof(v)) return std::nullopt;
+    return v;
   }
 };
 
@@ -853,18 +874,28 @@ TEST(ServerFailure, FdExhaustionPausesAcceptInsteadOfSpinning) {
   EXPECT_EQ(child.finish(), 0);
 }
 
-/// Open fds of this process, counted from /proc/self/fd (the directory's
-/// own fd excluded); -1 if it cannot be read.
-int open_fd_count() {
-  DIR* dir = ::opendir("/proc/self/fd");
-  if (dir == nullptr) return -1;
+/// Entries of /proc/self/<dir> ("." and ".." excluded); -1 if it cannot be
+/// read.
+int proc_self_entries(const char* dir) {
+  DIR* d = ::opendir((std::string("/proc/self/") + dir).c_str());
+  if (d == nullptr) return -1;
   int n = 0;
-  while (const dirent* e = ::readdir(dir)) {
+  while (const dirent* e = ::readdir(d)) {
     if (e->d_name[0] != '.') ++n;
   }
-  ::closedir(dir);
-  return n - 1;
+  ::closedir(d);
+  return n;
 }
+
+/// Open fds of this process (the counting directory's own fd excluded); -1
+/// if they cannot be counted.
+int open_fd_count() {
+  const int n = proc_self_entries("fd");
+  return n < 0 ? -1 : n - 1;
+}
+
+/// Threads of this process; -1 if they cannot be counted.
+int thread_count() { return proc_self_entries("task"); }
 
 /// An fd limit under which exactly `k` more fds can be opened: the number
 /// just past the k-th free fd (the kernel hands out the lowest free one).
@@ -895,13 +926,22 @@ TEST(ServerFailure, ConstructorClosesItsFdsWhenSetupFails) {
           rlimit low = saved;
           low.rlim_cur = limit_leaving(fds_left);
           if (before < 0 || ::setrlimit(RLIMIT_NOFILE, &low) != 0) return 2;
-          std::string error;
+          std::exception_ptr failure;
           try {
             Server server(cfg);
-          } catch (const std::runtime_error& e) {
-            error = e.what();
+          } catch (...) {
+            failure = std::current_exception();
           }
           (void)::setrlimit(RLIMIT_NOFILE, &saved);
+          // The message is read only once fds are back: UBSan's check of
+          // the virtual what() call opens files of its own.
+          std::string error;
+          try {
+            if (failure) std::rethrow_exception(failure);
+          } catch (const std::runtime_error& e) {
+            error = e.what();
+          } catch (...) {
+          }
           const int after = open_fd_count();
           std::fprintf(stderr, "child: %s, %d fd(s) left: \"%s\", %d -> %d open fds\n",
                        uds ? "uds" : "tcp", fds_left, error.c_str(), before, after);
@@ -917,6 +957,269 @@ TEST(ServerFailure, ConstructorClosesItsFdsWhenSetupFails) {
   ChildProcess child;
   // 3: setup failed elsewhere (or not at all); 4: an fd leaked; 5: the
   // socket file was left behind.
+  EXPECT_EQ(child.finish(), 0);
+}
+
+/// The CPUs this thread may run on, in ascending order.
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+/// Restrict this thread (and every thread it starts) to the first `n`
+/// allowed CPUs; false if there are fewer.
+bool pin_to_first_cpus(std::size_t n) {
+  const std::vector<int> cpus = allowed_cpus();
+  if (cpus.size() < n) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (std::size_t i = 0; i < n; ++i) CPU_SET(cpus[i], &set);
+  return ::sched_setaffinity(0, sizeof(set), &set) == 0;
+}
+
+// A sanitizer runtime keeps shadow memory and freed blocks resident, so in
+// a sanitized build the peak RSS does not measure what the server holds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kRssMeasuresTheServer = false;
+#else
+constexpr bool kRssMeasuresTheServer = true;
+#endif
+
+/// The process's peak resident set (VmHWM) in KiB; -1 if unreadable.
+long vm_hwm_kib() {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  long kib = -1;
+  char line[256];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+/// A kSeal request whose frame is exactly the default frame cap.
+std::vector<std::uint8_t> max_frame_seal_request() {
+  std::vector<std::uint8_t> body(kMaxFrameDefault - 1);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : body) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return encode_request(Op::kSeal, body);
+}
+
+TEST(ServerFailure, NonReaderIsBoundedInBytes) {
+  // A client that pipelines max-frame kSeals and never reads: each ~5 MiB
+  // response stays unflushed, so the server must stop running that
+  // connection's requests at the output cap (instead of stacking responses
+  // in its write buffer for the whole write-stall timeout) until the
+  // timeout cuts it. The child's peak RSS stays bounded (where RSS measures
+  // it: not in a sanitized build), and a probe on another connection is
+  // answered throughout.
+  if (const auto link = child_link()) {
+    ::_exit([&] {
+      ServerConfig cfg = uds_config(link->uds_path);
+      cfg.request_timeout_ms = 1500;
+      Server server(cfg);
+      server.start();
+      link->post();
+      (void)link->wait(120'000);  // until the parent is done
+      server.stop();
+      const long hwm = vm_hwm_kib();
+      const std::uint64_t timeouts = server.stats().timeouts;
+      std::fprintf(stderr, "child: VmHWM %ld KiB, %llu timeout cut(s)\n", hwm,
+                   static_cast<unsigned long long>(timeouts));
+      if (hwm < 0) return 2;
+      if (kRssMeasuresTheServer && hwm > 96 * 1024) return 4;
+      return timeouts == 0 ? 5 : 0;
+    }());
+  }
+  ChildProcess child;
+  const std::string& path = child.link().uds_path;
+  ASSERT_TRUE(child.link().wait(30'000)) << "child server did not start";
+  Client probe(path);
+  ASSERT_FALSE(probe.salt().empty());
+
+  std::atomic<bool> flood_done{false};
+  std::thread flood([&] {
+    const int fd = Client::uds_connect(path);
+    if (fd >= 0) {
+      // A send blocked on a server that neither reads nor cuts fails the
+      // test by timing out here rather than hanging it.
+      const timeval limit{60, 0};
+      (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &limit, sizeof(limit));
+      const auto frame = max_frame_seal_request();
+      for (int i = 0; i < 256; ++i) {
+        std::size_t off = 0;
+        while (off < frame.size()) {
+          const ssize_t n = ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+          if (n <= 0) break;
+          off += static_cast<std::size_t>(n);
+        }
+        if (off < frame.size()) break;  // cut (or the send timed out)
+      }
+      ::close(fd);
+    }
+    flood_done.store(true);
+  });
+  int pings = 0;
+  int answered = 0;
+  while (!flood_done.load()) {
+    probe.send_request(Op::kPing, {});
+    const auto resp = probe.read_response();
+    ++pings;
+    if (resp.has_value() && status_of(*resp) == Status::kOk) ++answered;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  flood.join();
+  EXPECT_EQ(answered, pings) << "the probe lost pings during the flood";
+  // 4: the child held more than 96 MiB at its peak; 5: the flooder was
+  // never cut by the write-stall timeout.
+  EXPECT_EQ(child.finish(), 0);
+}
+
+TEST(ServerFailure, MaxFrameSealerDoesNotStarveItsReactor) {
+  // One reactor (the child is pinned to one CPU) serves a client that
+  // pipelines max-frame kSeals beside a probe that pings every 5 ms. A
+  // reactor runs one crypto request per connection per loop turn, and none
+  // while a connection's unflushed replies exceed the output cap, so a ping
+  // waits behind at most the seal already running (plus the one chance the
+  // sealer had that turn), never behind the whole pipeline.
+  if (const auto link = child_link()) {
+    ::_exit([&] {
+      if (!pin_to_first_cpus(1)) return 2;
+      const auto frame = max_frame_seal_request();
+      const std::span<const std::uint8_t> body =
+          std::span(frame).subspan(kLenPrefixBytes + 1);
+      const std::vector<std::uint8_t> salt(kConnSaltBytes, 0x11);
+      crypto::Session session = crypto::Session::from_master(kMaster, s2c_context(salt));
+      // The slowest of three seals, timed before the server starts and
+      // again after the parent is done: a host that slows down mid-test
+      // slows the server's seals as well as the budget.
+      const auto slowest_seal_ms = [&] {
+        double ms = 0;
+        for (int i = 0; i < 3; ++i) {
+          const auto t0 = std::chrono::steady_clock::now();
+          (void)session.seal(body);
+          const std::chrono::duration<double, std::milli> dt =
+              std::chrono::steady_clock::now() - t0;
+          ms = std::max(ms, dt.count());
+        }
+        return ms;
+      };
+      const double before_ms = slowest_seal_ms();
+      Server server(uds_config(link->uds_path));
+      server.start();
+      link->post_value(before_ms);
+      if (!link->wait(120'000)) return 2;  // until the parent is done
+      server.stop();
+      link->post_value(std::max(before_ms, slowest_seal_ms()));
+      return 0;
+    }());
+  }
+  ChildProcess child;
+  const std::string& path = child.link().uds_path;
+  ASSERT_TRUE(child.link().wait_value(60'000).has_value()) << "child server did not start";
+  Client probe(path);
+  Client sealer(path);
+  ASSERT_FALSE(probe.salt().empty());
+  ASSERT_FALSE(sealer.salt().empty());
+
+  constexpr int kSeals = 8;
+  std::atomic<bool> sealing{true};
+  int sealed_ok = 0;
+  std::thread pipeline([&] {
+    const auto frame = max_frame_seal_request();
+    std::vector<std::uint8_t> burst;
+    for (int i = 0; i < kSeals; ++i) burst.insert(burst.end(), frame.begin(), frame.end());
+    std::thread writer([&] { sealer.send_raw(burst); });
+    for (int i = 0; i < kSeals; ++i) {
+      const auto resp = sealer.read_response();
+      if (!resp.has_value()) break;
+      if (status_of(*resp) == Status::kOk) ++sealed_ok;
+    }
+    writer.join();
+    sealing.store(false);
+  });
+  double max_rtt_ms = 0;
+  while (sealing.load()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    probe.send_request(Op::kPing, {});
+    const auto resp = probe.read_response();
+    const std::chrono::duration<double, std::milli> rtt = std::chrono::steady_clock::now() - t0;
+    if (!resp.has_value() || status_of(*resp) != Status::kOk) {
+      ADD_FAILURE() << "a probe ping went unanswered";
+      break;
+    }
+    max_rtt_ms = std::max(max_rtt_ms, rtt.count());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pipeline.join();
+  EXPECT_EQ(sealed_ok, kSeals);
+  child.link().post();
+  const std::optional<double> seal_ms = child.link().wait_value(60'000);
+  ASSERT_TRUE(seal_ms.has_value()) << "child did not time its seals";
+  std::fprintf(stderr, "max-frame seal %.1f ms, probe max RTT %.1f ms\n", *seal_ms, max_rtt_ms);
+  EXPECT_LE(max_rtt_ms, 2 * *seal_ms + 20);
+  EXPECT_EQ(child.finish(), 0);
+}
+
+TEST(ServerLifecycle, ReactorsFollowTheAffinityMask) {
+  // Two allowed CPUs, two reactor threads: start() adds exactly that many
+  // threads and stop() joins them all. A stop() that races a burst of
+  // connects leaks no fd, including connections handed to a reactor's
+  // inbox after that reactor stopped.
+  if (allowed_cpus().size() < 2) GTEST_SKIP() << "needs 2 CPUs";
+  if (const auto link = child_link()) {
+    ::_exit([&] {
+      if (!pin_to_first_cpus(2)) return 2;
+      // A sanitizer runtime may start a helper thread with the process's
+      // first thread; start one first so the baseline already has it.
+      std::thread([] {}).join();
+      const int fds0 = open_fd_count();
+      const int tasks0 = thread_count();
+      int code = 0;
+      {
+        Server server(uds_config(link->uds_path));
+        const int fds_built = open_fd_count();
+        server.start();
+        const int tasks_started = thread_count();
+        link->post();
+        if (!link->wait(30'000)) return 2;  // connects are under way
+        server.stop();
+        const int tasks_stopped = thread_count();
+        const int fds_stopped = open_fd_count();
+        std::fprintf(stderr, "child: tasks %d -> %d -> %d, fds %d -> %d -> %d\n", tasks0,
+                     tasks_started, tasks_stopped, fds0, fds_built, fds_stopped);
+        if (tasks_started != tasks0 + 2) code = 3;
+        if (tasks_stopped != tasks0) code = 4;
+        if (fds_stopped != fds_built - 1) code = 5;  // only the listener closes at stop
+      }
+      if (code == 0 && open_fd_count() != fds0) code = 6;
+      link->post();
+      return code;
+    }());
+  }
+  ChildProcess child;
+  const std::string& path = child.link().uds_path;
+  ASSERT_TRUE(child.link().wait(30'000)) << "child server did not start";
+  std::vector<int> fds;
+  for (int i = 0; i < 64; ++i) {
+    if (i == 8) child.link().post();  // stop() from here on
+    const int fd = Client::uds_connect(path);
+    if (fd >= 0) fds.push_back(fd);
+  }
+  EXPECT_TRUE(child.link().wait(30'000));
+  for (const int fd : fds) ::close(fd);
+  // 3/4: reactor threads did not follow the mask or were not joined;
+  // 5/6: an fd leaked through stop() or the destructor.
   EXPECT_EQ(child.finish(), 0);
 }
 

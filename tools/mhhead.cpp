@@ -9,8 +9,10 @@
 //   --tcp PORT          listen on loopback TCP (0 = ephemeral; the bound
 //                       port is printed to stdout)
 //   --master HEX        session master secret, hex-encoded (required)
-//   --max-inflight N    crypto requests in flight before shedding (def. 128;
-//                       0 sheds every crypto request)
+//   --max-inflight N    crypto requests admitted and unanswered, queued or
+//                       running, counted from when the frame is parsed,
+//                       before shedding (def. 128; 0 sheds every crypto
+//                       request)
 //   --max-conns N       live connection cap (default 1024; >= 1)
 //   --timeout-ms N      slow-loris/partial-frame timeout (default 5000; >= 1)
 //   --max-frame BYTES   frame length cap (default 1 MiB; >= 1)
@@ -22,8 +24,10 @@
 // else (a port above 65535, trailing junk, a negative limit) exits 2 with
 // the usage message before a socket is bound.
 //
-// The daemon serves until SIGINT/SIGTERM, then drains in-flight requests
-// and exits 0. "READY" plus the endpoint is printed once the socket is
+// The daemon runs one reactor thread per CPU in its affinity mask (so
+// `taskset -c 0 mhhead ...` runs one) and serves until SIGINT/SIGTERM; then
+// each reactor finishes the request it is running, closes its connections,
+// and the process exits 0. "READY" plus the endpoint is printed once the socket is
 // listening, so scripted callers (CI's server-smoke job) can wait for the
 // line instead of sleeping.
 #include <charconv>
