@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -28,9 +29,6 @@ class RawCompressor final : public Compressor {
   [[nodiscard]] std::size_t max_compressed_size(std::size_t n) const noexcept override {
     return n;
   }
-  [[nodiscard]] std::size_t max_decoded_size(std::size_t stream_bytes) const noexcept override {
-    return stream_bytes;
-  }
 
   std::size_t compress_into(std::span<const std::uint8_t> in,
                             std::span<std::uint8_t> out) override {
@@ -38,17 +36,17 @@ class RawCompressor final : public Compressor {
     if (!in.empty()) std::memcpy(out.data(), in.data(), in.size());
     return in.size();
   }
-
-  std::size_t decompress_into(std::span<const std::uint8_t> in, std::size_t raw_size,
-                              std::span<std::uint8_t> out) override {
-    if (in.size() != raw_size) {
-      throw std::invalid_argument("RawCompressor: stream size does not match declared size");
-    }
-    if (out.size() < raw_size) throw_out_too_small("RawCompressor::decompress_into");
-    if (raw_size != 0) std::memcpy(out.data(), in.data(), raw_size);
-    return raw_size;
-  }
 };
+
+std::size_t raw_decode(std::span<const std::uint8_t> in, std::size_t raw_size,
+                       std::span<std::uint8_t> out) {
+  if (in.size() != raw_size) {
+    throw std::invalid_argument("raw: stream size does not match declared size");
+  }
+  if (out.size() < raw_size) throw_out_too_small("raw decode");
+  if (raw_size != 0) std::memcpy(out.data(), in.data(), raw_size);
+  return raw_size;
+}
 
 // ---------------------------------------------------------------------------
 // LZSS: flag-grouped literals/matches over a 4 KiB window.
@@ -62,8 +60,13 @@ class RawCompressor final : public Compressor {
 //
 // Matching is greedy with a hash-chain search (image_comp/smac-style): 3-byte
 // hash heads plus a window-sized ring of previous links (zlib's
-// prev[pos & wmask]), both fixed-size per-instance scratch, chain walks
-// capped so worst-case inputs stay linear.
+// prev[pos & wmask]), both fixed-size per-instance scratch that no call
+// clears (entries carry an offset stamp), chain walks capped so worst-case
+// inputs stay linear.
+
+constexpr std::size_t kWindow = 4096;  // 12-bit distances
+constexpr std::size_t kMinMatch = 3;
+constexpr std::size_t kMaxMatch = 18;  // kMinMatch + 4-bit length
 
 class LzssCompressor final : public Compressor {
  public:
@@ -74,27 +77,32 @@ class LzssCompressor final : public Compressor {
     return n + (n + 7) / 8;
   }
 
-  [[nodiscard]] std::size_t max_decoded_size(std::size_t stream_bytes) const noexcept override {
-    // Densest group: 1 flag byte + 8 match tokens (17 bytes) decoding to
-    // 8 * 18 = 144 bytes — under 9 output bytes per stream byte.
-    return stream_bytes * 9;
-  }
-
   std::size_t compress_into(std::span<const std::uint8_t> in,
                             std::span<std::uint8_t> out) override {
     const std::size_t n = in.size();
-    head_.fill(kNil);
+    // This call stamps position pos as base + pos. The base moves on by at
+    // least a window per call, before anything can throw, so every entry an
+    // earlier call left sits below it and reads as empty. Only when the
+    // stamps would wrap 32 bits are the heads cleared.
+    const std::size_t advance = std::max(n, kWindow);
+    if (advance > std::numeric_limits<std::uint32_t>::max() - base_) {
+      head_.fill(0);
+      base_ = 1;
+    }
+    const std::uint32_t base = base_;
+    base_ += static_cast<std::uint32_t>(advance);
 
+    const std::uint8_t* const src = in.data();
     std::size_t op = 0;
     const auto put = [&](std::uint8_t b) {
       if (op >= out.size()) throw_out_too_small("LzssCompressor::compress_into");
       out[op++] = b;
     };
     const auto insert = [&](std::size_t pos) {
-      if (pos + kMinMatch > n) return;
-      const std::uint32_t h = hash3(in.data() + pos);
-      prev_[pos & (kWindow - 1)] = head_[h];
-      head_[h] = static_cast<std::uint32_t>(pos);
+      const std::uint32_t stamp = base + static_cast<std::uint32_t>(pos);
+      const std::uint32_t h = hash3(src + pos);
+      prev_[stamp & (kWindow - 1)] = head_[h];
+      head_[h] = stamp;
     };
 
     std::size_t ip = 0;
@@ -110,16 +118,23 @@ class LzssCompressor final : public Compressor {
       std::size_t best_len = 0;
       std::size_t best_dist = 0;
       if (ip + kMinMatch <= n) {
+        const std::uint8_t* const p = src + ip;
         const std::size_t limit = std::min(kMaxMatch, n - ip);
-        std::uint32_t cand = head_[hash3(in.data() + ip)];
-        for (int chain = kMaxChain; cand != kNil && chain > 0;
-             --chain, cand = prev_[cand & (kWindow - 1)]) {
-          const std::size_t dist = ip - cand;
+        // Word compares read up to kWordSpan bytes from p; nearer the end,
+        // compare bytes.
+        const bool words = ip + kWordSpan <= n;
+        const std::uint32_t cur = base + static_cast<std::uint32_t>(ip);
+        std::uint32_t cand = head_[hash3(p)];
+        for (int chain = kMaxChain; chain > 0; --chain, cand = prev_[cand & (kWindow - 1)]) {
           // Chains are position-ordered. In the window, cand's ring slot is
-          // not yet reused: the next to reuse it is cand + kWindow >= ip.
-          if (dist > kWindow) break;
-          std::size_t len = 0;
-          while (len < limit && in[cand + len] == in[ip + len]) ++len;
+          // not yet reused: the next to reuse it is cand + kWindow >= cur.
+          if (cand < base || cur - cand > kWindow) break;
+          const std::size_t dist = cur - cand;
+          const std::uint8_t* const q = p - dist;
+          // A candidate that differs at best_len cannot beat it; it still
+          // counts against the chain cap.
+          if (q[best_len] != p[best_len]) continue;
+          const std::size_t len = words ? match_words(p, q) : match_bytes(p, q, limit);
           if (len > best_len) {
             best_len = len;
             best_dist = dist;
@@ -132,12 +147,14 @@ class LzssCompressor final : public Compressor {
         const std::uint32_t len3 = static_cast<std::uint32_t>(best_len - kMinMatch);
         put(static_cast<std::uint8_t>(dist1 & 0xFF));
         put(static_cast<std::uint8_t>((dist1 >> 8) | (len3 << 4)));
-        for (std::size_t i = 0; i < best_len; ++i) insert(ip + i);
+        // Every covered position with kMinMatch bytes left to hash.
+        const std::size_t stop = std::min(ip + best_len, n - kMinMatch + 1);
+        for (std::size_t pos = ip; pos < stop; ++pos) insert(pos);
         ip += best_len;
       } else {
         flag |= static_cast<std::uint8_t>(1u << items);
         put(in[ip]);
-        insert(ip);
+        if (ip + kMinMatch <= n) insert(ip);
         ++ip;
       }
       if (++items == 8) {
@@ -149,47 +166,12 @@ class LzssCompressor final : public Compressor {
     return op;
   }
 
-  std::size_t decompress_into(std::span<const std::uint8_t> in, std::size_t raw_size,
-                              std::span<std::uint8_t> out) override {
-    if (out.size() < raw_size) throw_out_too_small("LzssCompressor::decompress_into");
-    std::size_t ip = 0;
-    std::size_t op = 0;
-    while (op < raw_size) {
-      if (ip >= in.size()) throw std::invalid_argument("lzss: truncated stream");
-      const std::uint8_t flag = in[ip++];
-      for (int item = 0; item < 8 && op < raw_size; ++item) {
-        if ((flag >> item) & 1) {
-          if (ip >= in.size()) throw std::invalid_argument("lzss: truncated literal");
-          out[op++] = in[ip++];
-          continue;
-        }
-        if (ip + 2 > in.size()) throw std::invalid_argument("lzss: truncated match token");
-        const std::size_t dist =
-            (static_cast<std::size_t>(in[ip]) |
-             (static_cast<std::size_t>(in[ip + 1] & 0x0F) << 8)) +
-            1;
-        const std::size_t len = static_cast<std::size_t>(in[ip + 1] >> 4) + kMinMatch;
-        ip += 2;
-        if (dist > op) throw std::invalid_argument("lzss: match reaches before stream start");
-        if (op + len > raw_size) {
-          throw std::invalid_argument("lzss: match overruns declared size");
-        }
-        // Overlapping copies are the point (run-length shapes) — byte order
-        // matters, so no memmove.
-        for (std::size_t i = 0; i < len; ++i, ++op) out[op] = out[op - dist];
-      }
-    }
-    if (ip != in.size()) throw std::invalid_argument("lzss: trailing bytes after stream");
-    return raw_size;
-  }
-
  private:
-  static constexpr std::size_t kWindow = 4096;  // 12-bit distances
-  static constexpr std::size_t kMinMatch = 3;
-  static constexpr std::size_t kMaxMatch = 18;  // kMinMatch + 4-bit length
   static constexpr std::size_t kHashBits = 13;
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr int kMaxChain = 32;
+  // Bytes the word compare may read from a match start: kMaxMatch rounded
+  // up to whole 8-byte words.
+  static constexpr std::size_t kWordSpan = (kMaxMatch + 7) / 8 * 8;
 
   static std::uint32_t hash3(const std::uint8_t* p) noexcept {
     const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
@@ -198,11 +180,74 @@ class LzssCompressor final : public Compressor {
     return (v * 0x9E3779B1u) >> (32 - kHashBits);
   }
 
-  // Match-search scratch, 48 KiB whatever the input size: head per 3-byte
-  // hash, previous link of each of the last kWindow positions.
-  std::array<std::uint32_t, std::size_t{1} << kHashBits> head_;
-  std::array<std::uint32_t, kWindow> prev_;
+  static std::uint64_t load64(const std::uint8_t* p) noexcept {
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+
+  /// Common prefix of p and q, capped at kMaxMatch; reads kWordSpan bytes.
+  static std::size_t match_words(const std::uint8_t* p, const std::uint8_t* q) noexcept {
+    for (std::size_t len = 0; len < kMaxMatch; len += 8) {
+      const std::uint64_t diff = load64(p + len) ^ load64(q + len);
+      if (diff != 0) {
+        const int bit = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                                   : std::countl_zero(diff);
+        return std::min(len + static_cast<std::size_t>(bit) / 8, kMaxMatch);
+      }
+    }
+    return kMaxMatch;
+  }
+
+  /// Common prefix of p and q, capped at `limit`.
+  static std::size_t match_bytes(const std::uint8_t* p, const std::uint8_t* q,
+                                 std::size_t limit) noexcept {
+    std::size_t len = 0;
+    while (len < limit && q[len] == p[len]) ++len;
+    return len;
+  }
+
+  // Match-search scratch, 48 KiB whatever the input size: per 3-byte hash
+  // the stamp of its latest position, and the previous link of each of the
+  // last kWindow stamps. An entry below the current base is empty.
+  std::array<std::uint32_t, std::size_t{1} << kHashBits> head_{};
+  std::array<std::uint32_t, kWindow> prev_{};
+  std::uint32_t base_ = 1;  // stamp of the next call's position 0
 };
+
+std::size_t lzss_decode(std::span<const std::uint8_t> in, std::size_t raw_size,
+                        std::span<std::uint8_t> out) {
+  if (out.size() < raw_size) throw_out_too_small("lzss decode");
+  std::size_t ip = 0;
+  std::size_t op = 0;
+  while (op < raw_size) {
+    if (ip >= in.size()) throw std::invalid_argument("lzss: truncated stream");
+    const std::uint8_t flag = in[ip++];
+    for (int item = 0; item < 8 && op < raw_size; ++item) {
+      if ((flag >> item) & 1) {
+        if (ip >= in.size()) throw std::invalid_argument("lzss: truncated literal");
+        out[op++] = in[ip++];
+        continue;
+      }
+      if (ip + 2 > in.size()) throw std::invalid_argument("lzss: truncated match token");
+      const std::size_t dist =
+          (static_cast<std::size_t>(in[ip]) |
+           (static_cast<std::size_t>(in[ip + 1] & 0x0F) << 8)) +
+          1;
+      const std::size_t len = static_cast<std::size_t>(in[ip + 1] >> 4) + kMinMatch;
+      ip += 2;
+      if (dist > op) throw std::invalid_argument("lzss: match reaches before stream start");
+      if (op + len > raw_size) {
+        throw std::invalid_argument("lzss: match overruns declared size");
+      }
+      // Overlapping copies are the point (run-length shapes) — byte order
+      // matters, so no memmove.
+      for (std::size_t i = 0; i < len; ++i, ++op) out[op] = out[op - dist];
+    }
+  }
+  if (ip != in.size()) throw std::invalid_argument("lzss: trailing bytes after stream");
+  return raw_size;
+}
 
 // ---------------------------------------------------------------------------
 // Huffman: order-0 canonical codes, lengths limited to 15 bits.
@@ -213,6 +258,9 @@ class LzssCompressor final : public Compressor {
 // Codes are canonical — assigned in (length, symbol) order — so the table
 // fully determines both directions.
 
+constexpr std::size_t kTableBytes = 128;  // 256 packed length nibbles
+constexpr int kMaxCodeBits = 15;
+
 class HuffmanCompressor final : public Compressor {
  public:
   [[nodiscard]] Method method() const noexcept override { return Method::huffman; }
@@ -220,11 +268,6 @@ class HuffmanCompressor final : public Compressor {
   [[nodiscard]] std::size_t max_compressed_size(std::size_t n) const noexcept override {
     // No code is longer than kMaxCodeBits after the length limit.
     return kTableBytes + (n * kMaxCodeBits + 7) / 8;
-  }
-
-  [[nodiscard]] std::size_t max_decoded_size(std::size_t stream_bytes) const noexcept override {
-    // Shortest possible code is one bit.
-    return stream_bytes < kTableBytes ? 0 : (stream_bytes - kTableBytes) * 8;
   }
 
   std::size_t compress_into(std::span<const std::uint8_t> in,
@@ -255,78 +298,7 @@ class HuffmanCompressor final : public Compressor {
     return op;
   }
 
-  std::size_t decompress_into(std::span<const std::uint8_t> in, std::size_t raw_size,
-                              std::span<std::uint8_t> out) override {
-    if (out.size() < raw_size) throw_out_too_small("HuffmanCompressor::decompress_into");
-    if (in.size() < kTableBytes) throw std::invalid_argument("huffman: truncated table");
-    for (std::size_t i = 0; i < kTableBytes; ++i) {
-      len_[2 * i] = in[i] & 0x0F;
-      len_[2 * i + 1] = in[i] >> 4;
-    }
-    // Canonical decode tables: per length, the first code value, its slot in
-    // the (length, symbol)-sorted order, and the code count.
-    std::array<std::uint16_t, kMaxCodeBits + 1> count{};
-    for (std::size_t s = 0; s < 256; ++s) ++count[len_[s]];
-    count[0] = 0;
-    std::array<std::uint16_t, kMaxCodeBits + 1> first_code{};
-    std::array<std::uint16_t, kMaxCodeBits + 1> first_slot{};
-    std::uint32_t code = 0;
-    std::uint16_t slot = 0;
-    std::uint32_t kraft = 0;  // in units of 2^-kMaxCodeBits
-    for (int bits = 1; bits <= kMaxCodeBits; ++bits) {
-      code <<= 1;
-      first_code[bits] = static_cast<std::uint16_t>(code);
-      first_slot[bits] = slot;
-      code += count[bits];
-      slot = static_cast<std::uint16_t>(slot + count[bits]);
-      kraft += static_cast<std::uint32_t>(count[bits]) << (kMaxCodeBits - bits);
-      if (kraft > (1u << kMaxCodeBits)) {
-        throw std::invalid_argument("huffman: oversubscribed code-length table");
-      }
-    }
-    std::array<std::uint8_t, 256> sym_at{};
-    {
-      std::array<std::uint16_t, kMaxCodeBits + 1> next = first_slot;
-      for (std::size_t s = 0; s < 256; ++s) {
-        if (len_[s] != 0) sym_at[next[len_[s]]++] = static_cast<std::uint8_t>(s);
-      }
-    }
-
-    const std::span<const std::uint8_t> stream = in.subspan(kTableBytes);
-    std::size_t bit_pos = 0;
-    const std::size_t bit_end = stream.size() * 8;
-    for (std::size_t op = 0; op < raw_size; ++op) {
-      std::uint32_t acc = 0;
-      int bits = 0;
-      for (;;) {
-        if (bit_pos >= bit_end) throw std::invalid_argument("huffman: truncated stream");
-        acc = (acc << 1) | ((stream[bit_pos >> 3] >> (7 - (bit_pos & 7))) & 1u);
-        ++bit_pos;
-        if (++bits > kMaxCodeBits) {
-          throw std::invalid_argument("huffman: invalid code in stream");
-        }
-        if (count[bits] != 0 && acc >= first_code[bits] &&
-            acc - first_code[bits] < count[bits]) {
-          out[op] = sym_at[first_slot[bits] + (acc - first_code[bits])];
-          break;
-        }
-      }
-    }
-    if ((bit_pos + 7) / 8 != stream.size()) {
-      throw std::invalid_argument("huffman: trailing bytes after stream");
-    }
-    for (; bit_pos < bit_end; ++bit_pos) {
-      if ((stream[bit_pos >> 3] >> (7 - (bit_pos & 7))) & 1u) {
-        throw std::invalid_argument("huffman: nonzero padding bits");
-      }
-    }
-    return raw_size;
-  }
-
  private:
-  static constexpr std::size_t kTableBytes = 128;  // 256 packed length nibbles
-  static constexpr int kMaxCodeBits = 15;
-
   /// Frequencies -> tree depths -> length-limited code lengths in len_.
   void build_lengths(std::span<const std::uint8_t> in) {
     freq_.fill(0);
@@ -436,6 +408,98 @@ class HuffmanCompressor final : public Compressor {
   std::array<std::uint16_t, 256> code_{};
 };
 
+std::size_t huffman_decode(std::span<const std::uint8_t> in, std::size_t raw_size,
+                           std::span<std::uint8_t> out) {
+  if (out.size() < raw_size) throw_out_too_small("huffman decode");
+  if (in.size() < kTableBytes) throw std::invalid_argument("huffman: truncated table");
+  std::array<std::uint8_t, 256> len{};
+  for (std::size_t i = 0; i < kTableBytes; ++i) {
+    len[2 * i] = in[i] & 0x0F;
+    len[2 * i + 1] = in[i] >> 4;
+  }
+  // Canonical decode tables: per length, the first code value, its slot in
+  // the (length, symbol)-sorted order, and the code count.
+  std::array<std::uint16_t, kMaxCodeBits + 1> count{};
+  for (std::size_t s = 0; s < 256; ++s) ++count[len[s]];
+  count[0] = 0;
+  std::array<std::uint16_t, kMaxCodeBits + 1> first_code{};
+  std::array<std::uint16_t, kMaxCodeBits + 1> first_slot{};
+  std::uint32_t code = 0;
+  std::uint16_t slot = 0;
+  std::uint32_t kraft = 0;  // in units of 2^-kMaxCodeBits
+  for (int bits = 1; bits <= kMaxCodeBits; ++bits) {
+    code <<= 1;
+    first_code[bits] = static_cast<std::uint16_t>(code);
+    first_slot[bits] = slot;
+    code += count[bits];
+    slot = static_cast<std::uint16_t>(slot + count[bits]);
+    kraft += static_cast<std::uint32_t>(count[bits]) << (kMaxCodeBits - bits);
+    if (kraft > (1u << kMaxCodeBits)) {
+      throw std::invalid_argument("huffman: oversubscribed code-length table");
+    }
+  }
+  std::array<std::uint8_t, 256> sym_at{};
+  {
+    std::array<std::uint16_t, kMaxCodeBits + 1> next = first_slot;
+    for (std::size_t s = 0; s < 256; ++s) {
+      if (len[s] != 0) sym_at[next[len[s]]++] = static_cast<std::uint8_t>(s);
+    }
+  }
+  // Primary table over the next kPrimaryBits bits: (length << 8) | symbol
+  // for every prefix that begins with a code of at most kPrimaryBits bits,
+  // 0 for the rest. The code is prefix-free (Kraft sum checked above), so
+  // each prefix begins with at most one code.
+  constexpr int kPrimaryBits = 10;
+  std::array<std::uint16_t, std::size_t{1} << kPrimaryBits> primary{};
+  for (int bits = 1; bits <= kPrimaryBits; ++bits) {
+    const int spread = kPrimaryBits - bits;
+    for (std::uint32_t i = 0; i < count[bits]; ++i) {
+      const auto entry = static_cast<std::uint16_t>((bits << 8) | sym_at[first_slot[bits] + i]);
+      const std::uint32_t c = first_code[bits] + i;
+      std::fill(primary.begin() + (c << spread), primary.begin() + ((c + 1) << spread), entry);
+    }
+  }
+
+  // Unread bits sit MSB-first at the top of acc, zeros below them.
+  const std::span<const std::uint8_t> stream = in.subspan(kTableBytes);
+  std::uint64_t acc = 0;
+  int avail = 0;
+  std::size_t next = 0;  // next stream byte to load
+  // The canonical bit-serial walk, for codes longer than the primary table
+  // and for the rejections: a code cut off by the stream end is truncation,
+  // and none within kMaxCodeBits bits is an invalid code.
+  const auto walk = [&]() -> std::uint16_t {
+    for (int bits = 1;; ++bits) {
+      if (bits > avail) throw std::invalid_argument("huffman: truncated stream");
+      if (bits > kMaxCodeBits) throw std::invalid_argument("huffman: invalid code in stream");
+      const auto c = static_cast<std::uint32_t>(acc >> (64 - bits));
+      if (count[bits] != 0 && c >= first_code[bits] && c - first_code[bits] < count[bits]) {
+        return static_cast<std::uint16_t>((bits << 8) |
+                                          sym_at[first_slot[bits] + (c - first_code[bits])]);
+      }
+    }
+  };
+  for (std::size_t op = 0; op < raw_size; ++op) {
+    if (avail <= kMaxCodeBits) {
+      for (; avail <= 56 && next < stream.size(); avail += 8) {
+        acc |= static_cast<std::uint64_t>(stream[next++]) << (56 - avail);
+      }
+    }
+    std::uint16_t entry = primary[acc >> (64 - kPrimaryBits)];
+    if (entry == 0 || (entry >> 8) > avail) entry = walk();
+    out[op] = static_cast<std::uint8_t>(entry);
+    acc <<= entry >> 8;
+    avail -= entry >> 8;
+  }
+  const std::size_t bit_pos = next * 8 - static_cast<std::size_t>(avail);
+  if ((bit_pos + 7) / 8 != stream.size()) {
+    throw std::invalid_argument("huffman: trailing bytes after stream");
+  }
+  // All that is left in acc is the last byte's padding.
+  if (acc != 0) throw std::invalid_argument("huffman: nonzero padding bits");
+  return raw_size;
+}
+
 }  // namespace
 
 const char* method_name(Method method) noexcept {
@@ -522,6 +586,27 @@ std::unique_ptr<Compressor> make_compressor(Method method) {
     case Method::raw: return std::make_unique<RawCompressor>();
     case Method::lzss: return std::make_unique<LzssCompressor>();
     case Method::huffman: return std::make_unique<HuffmanCompressor>();
+  }
+  throw std::invalid_argument("compress: unknown method tag");
+}
+
+std::size_t max_decoded_size(Method method, std::size_t stream_bytes) noexcept {
+  switch (method) {
+    // Densest LZSS group: 1 flag byte + 8 match tokens (17 bytes) decoding
+    // to 8 * 18 = 144 bytes — under 9 output bytes per stream byte.
+    case Method::lzss: return stream_bytes * 9;
+    // Shortest possible Huffman code is one bit.
+    case Method::huffman: return stream_bytes < kTableBytes ? 0 : (stream_bytes - kTableBytes) * 8;
+    default: return stream_bytes;
+  }
+}
+
+std::size_t decompress_into(Method method, std::span<const std::uint8_t> in,
+                            std::size_t raw_size, std::span<std::uint8_t> out) {
+  switch (method) {
+    case Method::raw: return raw_decode(in, raw_size, out);
+    case Method::lzss: return lzss_decode(in, raw_size, out);
+    case Method::huffman: return huffman_decode(in, raw_size, out);
   }
   throw std::invalid_argument("compress: unknown method tag");
 }

@@ -21,18 +21,25 @@
 //   lzss    (1)  LZ77-family byte matcher: groups of eight items behind a
 //                flag byte (bit set = literal byte, clear = a 2-byte match
 //                token of 12-bit distance-1 and 4-bit length-3 covering
-//                matches of 3..18 bytes inside a 4 KiB window), hash-chain
-//                match search with per-instance reusable scratch.
+//                matches of 3..18 bytes inside a 4 KiB window). Greedy
+//                hash-chain search over 48 KiB of per-instance scratch that
+//                no call clears: heads hold offset-stamped positions, so
+//                an earlier call's entries read as empty. Matches extend
+//                8 bytes per compare, and a candidate that differs at the
+//                current best length is skipped unmeasured.
 //   huffman (2)  order-0 canonical Huffman: a 128-byte packed-nibble table of
 //                per-symbol code lengths (limited to 15 bits, zlib-style
-//                overflow redistribution) followed by the MSB-first bitstream.
+//                overflow redistribution) followed by the MSB-first bitstream,
+//                decoded through a 10-bit primary lookup table with a
+//                bit-serial walk for longer codes.
 //
-// The interface mirrors the cipher `_into` span API: exact and worst-case
-// size queries, std::length_error ("output buffer too small") when the
-// caller's buffer cannot hold the result, std::invalid_argument on a corrupt
-// stream, and zero heap allocations once an instance's scratch is warmed.
-// Instances keep reusable scratch and must not be shared between threads
-// (same contract as crypto::Cipher).
+// Encoding mirrors the cipher `_into` span API: exact and worst-case size
+// queries, std::length_error ("output buffer too small") when the caller's
+// buffer cannot hold the result, and zero heap allocations once an
+// engine's scratch is warmed. An engine keeps reusable scratch and must not
+// be shared between threads (same contract as crypto::Cipher). Decoding
+// keeps no state: decompress_into is a free function on the stack, safe on
+// any thread, and throws std::invalid_argument on a corrupt stream.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +93,18 @@ std::size_t varint_decode(std::span<const std::uint8_t> in, std::uint64_t* value
 /// the sealer's fallback compares actual sizes.
 [[nodiscard]] bool probably_compressible(std::span<const std::uint8_t> in) noexcept;
 
+/// Upper bound on the decoded size any well-formed `stream_bytes`-byte
+/// `method` stream can declare — the sanity cap an opener checks a received
+/// raw size against before allocating.
+[[nodiscard]] std::size_t max_decoded_size(Method method, std::size_t stream_bytes) noexcept;
+
+/// Decompress a `method` stream that must decode to exactly `raw_size`
+/// bytes. std::invalid_argument on an unknown method, a truncated/corrupt
+/// stream or a size mismatch; std::length_error when `out` is shorter than
+/// `raw_size`. Returns `raw_size`.
+std::size_t decompress_into(Method method, std::span<const std::uint8_t> in,
+                            std::size_t raw_size, std::span<std::uint8_t> out);
+
 /// One compression engine with reusable per-instance scratch.
 class Compressor {
  public:
@@ -99,22 +118,18 @@ class Compressor {
   /// Cheap closed-form worst case for an `n`-byte input: a buffer this size
   /// always holds compress_into's stream, whose exact size is its return.
   [[nodiscard]] virtual std::size_t max_compressed_size(std::size_t n) const noexcept = 0;
-  /// Upper bound on the decoded size any well-formed `stream_bytes`-byte
-  /// stream can declare — the sanity cap an opener checks a received raw
-  /// size against before allocating.
-  [[nodiscard]] virtual std::size_t max_decoded_size(std::size_t stream_bytes) const noexcept = 0;
 
   /// Compress `in` into `out`, returning the stream bytes written.
   /// std::length_error when `out` is too small (size it with
   /// max_compressed_size).
   virtual std::size_t compress_into(std::span<const std::uint8_t> in,
                                     std::span<std::uint8_t> out) = 0;
-  /// Decompress a stream that must decode to exactly `raw_size` bytes.
-  /// std::invalid_argument on a truncated/corrupt stream or a size mismatch;
-  /// std::length_error when `out` is shorter than `raw_size`. Returns
-  /// `raw_size`.
-  virtual std::size_t decompress_into(std::span<const std::uint8_t> in, std::size_t raw_size,
-                                      std::span<std::uint8_t> out) = 0;
+  /// The free decompress_into for this engine's method; uses none of the
+  /// engine's scratch.
+  std::size_t decompress_into(std::span<const std::uint8_t> in, std::size_t raw_size,
+                              std::span<std::uint8_t> out) const {
+    return compress::decompress_into(method(), in, raw_size, out);
+  }
 };
 
 /// Fresh engine for `method`; std::invalid_argument on an unknown tag.

@@ -58,22 +58,18 @@ constexpr std::size_t kMinCompressBytes = 96;
 constexpr std::size_t kScratchKeepBytes = 64 * 1024;
 
 /// The compression pre-stage's working state, one per thread: the
-/// per-method engines (built on first use — an opener may need any method a
-/// peer negotiated) and one envelope buffer per direction. None of it
-/// depends on a key, so every cipher on the thread shares it; no call
+/// per-method encoders (built the first time the thread seals with a
+/// method; decoding needs none) and one envelope buffer per direction. None
+/// of it depends on a key, so every cipher on the thread shares it; no call
 /// re-enters another on the same thread.
 struct CompressScratch {
   std::array<std::unique_ptr<compress::Compressor>, compress::kMethodCount> engines;
   std::vector<std::uint8_t> seal_buf;
   std::vector<std::uint8_t> open_buf;
 
-  /// The engine for `tag`; std::invalid_argument on an unknown tag.
-  compress::Compressor& engine(std::uint8_t tag) {
-    if (!compress::method_known(tag)) {
-      throw std::invalid_argument("MhheaCipher: unknown compression method tag");
-    }
-    auto& slot = engines[tag];
-    if (!slot) slot = compress::make_compressor(static_cast<compress::Method>(tag));
+  compress::Compressor& engine(compress::Method method) {
+    auto& slot = engines[static_cast<std::size_t>(method)];
+    if (!slot) slot = compress::make_compressor(method);
     return *slot;
   }
 };
@@ -121,7 +117,7 @@ SealBody make_seal_body(compress::Method method, std::span<const std::uint8_t> m
     return {msg, 0};
   }
   const auto tag = static_cast<std::uint8_t>(method);
-  compress::Compressor& comp = t_scratch.engine(tag);
+  compress::Compressor& comp = t_scratch.engine(method);
   const std::size_t head = 1 + compress::varint_size(msg.size());
   const std::span<std::uint8_t> env = lease.take(head + comp.max_compressed_size(msg.size()));
   env[0] = tag;
@@ -143,7 +139,10 @@ template <class Sink>
 std::size_t open_envelope(const core::Encryptor& core, const MhheaCipher::V2Opened& opened,
                           Sink&& sink) {
   const std::uint8_t tag = opened.header.compression;
-  compress::Compressor& comp = t_scratch.engine(tag);  // rejects unknown tags
+  if (!compress::method_known(tag)) {
+    throw std::invalid_argument("MhheaCipher: unknown compression method tag");
+  }
+  const auto method = static_cast<compress::Method>(tag);
   const std::uint64_t bits = opened.header.message_bits;
   if (bits % 8 != 0) {
     throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
@@ -160,11 +159,11 @@ std::size_t open_envelope(const core::Encryptor& core, const MhheaCipher::V2Open
   const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
   // The declared size is MAC-covered, but cap it against the stream's best
   // possible ratio anyway — a hard bound beats trusting arithmetic.
-  if (raw_size > comp.max_decoded_size(stream.size())) {
+  if (raw_size > compress::max_decoded_size(method, stream.size())) {
     throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
   }
   const auto raw = static_cast<std::size_t>(raw_size);
-  return comp.decompress_into(stream, raw, sink(raw));
+  return compress::decompress_into(method, stream, raw, sink(raw));
 }
 }  // namespace
 
@@ -288,18 +287,33 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   // to a compression-disabled seal).
   EnvelopeLease lease(t_scratch.seal_buf);
   const SealBody body = make_seal_body(compression_, msg, lease);
+  return seal_body_into(body.bytes, body.method, nonce, out);
+}
+
+std::vector<std::uint8_t> MhheaCipher::seal_v2_alloc(std::span<const std::uint8_t> msg,
+                                                     std::uint64_t nonce) {
+  require_v2("seal_v2_alloc");
+  EnvelopeLease lease(t_scratch.seal_buf);
+  const SealBody body = make_seal_body(compression_, msg, lease);
+  std::vector<std::uint8_t> out(max_ciphertext_size(body.bytes.size()));
+  out.resize(seal_body_into(body.bytes, body.method, nonce, out));
+  return out;
+}
+
+std::size_t MhheaCipher::seal_body_into(std::span<const std::uint8_t> body, std::uint8_t method,
+                                        std::uint64_t nonce, std::span<std::uint8_t> out) {
   set_nonce(nonce);
   // Blocks land between the header and the trailer; encrypt_into's own
   // length_error covers a payload slice that cannot hold them.
   std::span<std::uint8_t> payload = out.subspan(
       core::FrameHeader::kSizeV2, out.size() - core::FrameHeader::kOverheadV2);
-  const std::size_t raw = core_.encrypt_into(body.bytes, payload);
+  const std::size_t raw = core_.encrypt_into(body, payload);
   core::FrameHeader h;
   h.version = 2;
   h.nonce = nonce;
   h.params = params_;
-  h.message_bits = static_cast<std::uint64_t>(body.bytes.size()) * 8;
-  h.compression = body.method;
+  h.message_bits = static_cast<std::uint64_t>(body.size()) * 8;
+  h.compression = method;
   core::frame_encode_header(h, out);
   const std::size_t authed = core::FrameHeader::kSizeV2 + raw;
   const MacTag tag = siphash128(sched_.mac_key, out.first(authed));

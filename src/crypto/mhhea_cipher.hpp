@@ -132,6 +132,12 @@ class MhheaCipher final : public Cipher {
   /// keystream. Zero heap allocations once warmed.
   std::size_t seal_v2_into(std::span<const std::uint8_t> msg, std::uint64_t nonce,
                            std::span<std::uint8_t> out);
+  /// Allocating seal, the mirror of open_v2_alloc: compresses first, then
+  /// sizes the container from the bound over the body it seals (the
+  /// envelope when compression wins), not over the message. The container
+  /// is byte-identical to seal_v2_into's at the same nonce.
+  [[nodiscard]] std::vector<std::uint8_t> seal_v2_alloc(std::span<const std::uint8_t> msg,
+                                                        std::uint64_t nonce);
   /// The authenticated-but-not-yet-decrypted view of a v2 container.
   struct V2Opened {
     core::FrameHeader header;
@@ -172,6 +178,10 @@ class MhheaCipher final : public Cipher {
   /// runs under nonce 0) skip the derivation and the reseed.
   void set_nonce(std::uint64_t nonce);
   void require_v2(const char* what) const;
+  /// The seal both seal_v2 forms share: encrypt `body` under `nonce`, write
+  /// the v2 header (compression tag `method`) and the MAC trailer into `out`.
+  std::size_t seal_body_into(std::span<const std::uint8_t> body, std::uint8_t method,
+                             std::uint64_t nonce, std::span<std::uint8_t> out);
 
   core::Key key_;       // [[mhhea::secret]] the hiding key (self-wiping)
   std::uint64_t seed_;  // [[mhhea::secret]] v2 schedule master; a nonce otherwise

@@ -68,8 +68,9 @@ void Session::skip_to_nonce(std::uint64_t nonce) {
 }
 
 std::vector<std::uint8_t> Session::seal(std::span<const std::uint8_t> msg) {
-  std::vector<std::uint8_t> out(max_sealed_size(msg.size()));
-  out.resize(seal_into(msg, out));
+  require_nonce_available();
+  std::vector<std::uint8_t> out = cipher_.seal_v2_alloc(msg, next_nonce_);
+  ++next_nonce_;  // only after the seal fully succeeded
   return out;
 }
 

@@ -95,9 +95,10 @@ class Session {
   /// Seal `msg` under the next counter value (the container carries it as
   /// the nonce). The counter increments only on success; once it reaches
   /// kNonceExhausted, sealing throws NonceExhaustedError before touching the
-  /// cipher (no nonce is burned by the failed call). A max_sealed_size()
-  /// buffer, seal_into() and a shrinking resize, so the container is
-  /// byte-identical to seal_into()'s at the same nonce.
+  /// cipher (no nonce is burned by the failed call). The buffer is sized
+  /// after compression, from the body actually sealed
+  /// (MhheaCipher::seal_v2_alloc); the container is byte-identical to
+  /// seal_into()'s at the same nonce.
   [[nodiscard]] std::vector<std::uint8_t> seal(std::span<const std::uint8_t> msg);
   /// Span form: writes the container into `out` and returns its size
   /// (std::length_error when `out` is too small — the counter is not

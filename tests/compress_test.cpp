@@ -1,13 +1,17 @@
 // Compression pre-stage: engine round trips (randomized sizes, both
-// corpora, every method), stream corruption rejection, the envelope path
+// corpora, every method), byte-for-byte reference encoders and decoders
+// for LZSS and Huffman, stream corruption rejection, the envelope path
 // through the sealed-v2 cipher (every method, fallback pinning,
 // post-MAC method checks), and the negotiated Session pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <span>
+#include <typeinfo>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -127,7 +131,7 @@ TEST(CompressEngines, RandomizedRoundTrip) {
           ASSERT_THROW((void)comp->compress_into(in, short_by_one), std::length_error)
               << method_name(m) << " n=" << n << " corpus=" << corpus;
         }
-        ASSERT_LE(n, comp->max_decoded_size(stream.size()));
+        ASSERT_LE(n, max_decoded_size(m, stream.size()));
         std::vector<std::uint8_t> back(n);
         ASSERT_EQ(comp->decompress_into(stream, n, back), n);
         EXPECT_EQ(back, in) << method_name(m) << " n=" << n << " corpus=" << corpus;
@@ -244,6 +248,250 @@ TEST(LzssReference, RepeatsAtTheWindowEdge) {
   EXPECT_LT(stream_bytes[0] * 2, stream_bytes[2]);
 }
 
+TEST(LzssReference, MatchesAtEveryShortSize) {
+  // Long matches run right up to the input's end at every size and
+  // alignment. Each input is an exact-size heap vector, so a sanitizer sees
+  // any match compare that reads past the end.
+  auto lzss = make_compressor(Method::lzss);
+  for (std::size_t n = 0; n <= 320; ++n) {
+    const std::vector<std::uint8_t> inputs[] = {text_bytes(n, 0x51 + n),
+                                                std::vector<std::uint8_t>(n, 'a')};
+    for (const auto& in : inputs) {
+      ASSERT_EQ(compress_all(*lzss, in), reference_lzss(in)) << "n=" << n;
+    }
+  }
+}
+
+/// The sizes and inputs CompressEngines.RandomizedRoundTrip draws, for every
+/// method's share of its size stream.
+TEST(LzssReference, MatchesOnTheRoundTripSeeds) {
+  auto lzss = make_compressor(Method::lzss);
+  util::Xoshiro256 size_rng(0xC0DEC);
+  for (std::size_t draw = 0; draw < std::size(kAllMethods); ++draw) {
+    for (int iter = 0; iter < 24; ++iter) {
+      const std::size_t n =
+          iter < 4 ? static_cast<std::size_t>(iter)
+                   : static_cast<std::size_t>(size_rng.below(20001));
+      for (int corpus = 0; corpus < 2; ++corpus) {
+        const auto in = corpus == 0 ? random_bytes(n, 0x5EED + iter)
+                                    : text_bytes(n, 0x5EED + iter);
+        const auto expect = reference_lzss(in);
+        // A call that throws part-way leaves entries behind; the next call
+        // must not see them.
+        if (!expect.empty()) {
+          std::vector<std::uint8_t> short_by_one(expect.size() - 1);
+          ASSERT_THROW((void)lzss->compress_into(in, short_by_one), std::length_error);
+        }
+        ASSERT_EQ(compress_all(*lzss, in), expect) << "n=" << n << " corpus=" << corpus;
+      }
+    }
+  }
+}
+
+TEST(LzssReference, ByteIdenticalAcrossTheOffsetWrap) {
+  // The engine stamps positions with a 32-bit offset that moves on by at
+  // least a window (4096) per call, so 2^20 calls cross its wrap at least
+  // once. The inputs are two prefixes of one slice of a 4096-periodic text:
+  // an entry an earlier call left, read as live, points one window back at
+  // the very bytes it was made from, so it would yield a real match that the
+  // reference cannot emit.
+  const auto period = text_bytes(4096, 0x3A9);
+  std::vector<std::uint8_t> text;
+  for (int i = 0; i < 3; ++i) text.insert(text.end(), period.begin(), period.end());
+  const std::span<const std::uint8_t> inputs[2] = {std::span(text).subspan(8192, 24),
+                                                   std::span(text).subspan(8192, 16)};
+  const std::vector<std::uint8_t> expect[2] = {reference_lzss(inputs[0]),
+                                               reference_lzss(inputs[1])};
+  auto lzss = make_compressor(Method::lzss);
+  std::vector<std::uint8_t> out(lzss->max_compressed_size(24));
+  std::size_t mismatches = 0;
+  for (std::size_t call = 0; call < (std::size_t{1} << 20) + 64; ++call) {
+    const std::size_t k = lzss->compress_into(inputs[call % 2], out);
+    const auto& want = expect[call % 2];
+    if (k != want.size() || !std::equal(want.begin(), want.end(), out.begin())) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// --- Huffman reference decoder ----------------------------------------------
+//
+// The Huffman decoder as it stood before the table-driven one, walking the
+// canonical code one bit per iteration; kept as the contract for both the
+// decoded bytes and every rejection (exception type and message).
+std::size_t reference_huffman_decode(std::span<const std::uint8_t> in, std::size_t raw_size,
+                                     std::span<std::uint8_t> out) {
+  constexpr std::size_t kTableBytes = 128;
+  constexpr int kMaxCodeBits = 15;
+  if (out.size() < raw_size) throw std::length_error("huffman decode: output buffer too small");
+  if (in.size() < kTableBytes) throw std::invalid_argument("huffman: truncated table");
+  std::array<std::uint8_t, 256> len{};
+  for (std::size_t i = 0; i < kTableBytes; ++i) {
+    len[2 * i] = in[i] & 0x0F;
+    len[2 * i + 1] = in[i] >> 4;
+  }
+  std::array<std::uint16_t, kMaxCodeBits + 1> count{};
+  for (std::size_t s = 0; s < 256; ++s) ++count[len[s]];
+  count[0] = 0;
+  std::array<std::uint16_t, kMaxCodeBits + 1> first_code{};
+  std::array<std::uint16_t, kMaxCodeBits + 1> first_slot{};
+  std::uint32_t code = 0;
+  std::uint16_t slot = 0;
+  std::uint32_t kraft = 0;
+  for (int bits = 1; bits <= kMaxCodeBits; ++bits) {
+    code <<= 1;
+    first_code[bits] = static_cast<std::uint16_t>(code);
+    first_slot[bits] = slot;
+    code += count[bits];
+    slot = static_cast<std::uint16_t>(slot + count[bits]);
+    kraft += static_cast<std::uint32_t>(count[bits]) << (kMaxCodeBits - bits);
+    if (kraft > (1u << kMaxCodeBits)) {
+      throw std::invalid_argument("huffman: oversubscribed code-length table");
+    }
+  }
+  std::array<std::uint8_t, 256> sym_at{};
+  std::array<std::uint16_t, kMaxCodeBits + 1> next = first_slot;
+  for (std::size_t s = 0; s < 256; ++s) {
+    if (len[s] != 0) sym_at[next[len[s]]++] = static_cast<std::uint8_t>(s);
+  }
+  const std::span<const std::uint8_t> stream = in.subspan(kTableBytes);
+  std::size_t bit_pos = 0;
+  const std::size_t bit_end = stream.size() * 8;
+  for (std::size_t op = 0; op < raw_size; ++op) {
+    std::uint32_t acc = 0;
+    int bits = 0;
+    for (;;) {
+      if (bit_pos >= bit_end) throw std::invalid_argument("huffman: truncated stream");
+      acc = (acc << 1) | ((stream[bit_pos >> 3] >> (7 - (bit_pos & 7))) & 1u);
+      ++bit_pos;
+      if (++bits > kMaxCodeBits) throw std::invalid_argument("huffman: invalid code in stream");
+      if (count[bits] != 0 && acc >= first_code[bits] && acc - first_code[bits] < count[bits]) {
+        out[op] = sym_at[first_slot[bits] + (acc - first_code[bits])];
+        break;
+      }
+    }
+  }
+  if ((bit_pos + 7) / 8 != stream.size()) {
+    throw std::invalid_argument("huffman: trailing bytes after stream");
+  }
+  for (; bit_pos < bit_end; ++bit_pos) {
+    if ((stream[bit_pos >> 3] >> (7 - (bit_pos & 7))) & 1u) {
+      throw std::invalid_argument("huffman: nonzero padding bits");
+    }
+  }
+  return raw_size;
+}
+
+/// What a decoder made of a stream: the decoded bytes, or the exception's
+/// type and message.
+std::string huffman_verdict(bool reference, std::span<const std::uint8_t> stream,
+                            std::size_t raw_size) {
+  std::vector<std::uint8_t> out(raw_size);
+  try {
+    const std::size_t n = reference ? reference_huffman_decode(stream, raw_size, out)
+                                    : decompress_into(Method::huffman, stream, raw_size, out);
+    return "ok " + std::to_string(n) + " " + std::string(out.begin(), out.end());
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+}
+
+/// Checks the decoder against the reference on one stream; returns the
+/// reference's verdict.
+std::string expect_huffman_matches_reference(std::span<const std::uint8_t> stream,
+                                             std::size_t raw_size, const std::string& what) {
+  const std::string expect = huffman_verdict(true, stream, raw_size);
+  const std::string got = huffman_verdict(false, stream, raw_size);
+  if (got != expect) {
+    ADD_FAILURE() << what << ": decoded as \"" << got.substr(0, 120) << "\", reference \""
+                  << expect.substr(0, 120) << "\"";
+  }
+  return expect;
+}
+
+/// Input whose symbol counts follow the Fibonacci numbers: the deepest
+/// Huffman tree, which the 15-bit limit has to repair.
+std::vector<std::uint8_t> fibonacci_skewed_bytes(std::size_t max_n) {
+  std::vector<std::uint8_t> in;
+  std::uint64_t a = 1;
+  std::uint64_t b = 1;
+  for (int sym = 0; sym < 24; ++sym) {
+    for (std::uint64_t i = 0; i < a && in.size() < max_n; ++i) {
+      in.push_back(static_cast<std::uint8_t>(sym));
+    }
+    const std::uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  return in;
+}
+
+TEST(HuffmanReference, MatchesAcrossSizesAndCorpora) {
+  auto huffman = make_compressor(Method::huffman);
+  const std::size_t sizes[] = {1, 2, 3, 17, 255, 256, 4096, 16384, 65536, 262144};
+  for (const std::size_t n : sizes) {
+    for (int corpus = 0; corpus < 2; ++corpus) {
+      const auto in = corpus == 0 ? random_bytes(n, 0x4F + n) : text_bytes(n, 0x4F + n);
+      const auto stream = compress_all(*huffman, in);
+      const std::string what = "n=" + std::to_string(n) + " corpus=" + std::to_string(corpus);
+      expect_huffman_matches_reference(stream, n, what);
+      // Declared sizes the stream cannot produce.
+      expect_huffman_matches_reference(stream, n - 1, what + " declared n-1");
+      expect_huffman_matches_reference(stream, n + 1, what + " declared n+1");
+    }
+  }
+}
+
+TEST(HuffmanReference, MatchesOnFifteenBitCodes) {
+  auto huffman = make_compressor(Method::huffman);
+  for (const std::size_t n : {200u, 5000u, 60000u}) {
+    const auto in = fibonacci_skewed_bytes(n);
+    const auto stream = compress_all(*huffman, in);
+    int longest = 0;
+    for (std::size_t i = 0; i < 128; ++i) {
+      longest = std::max({longest, stream[i] & 0x0F, stream[i] >> 4});
+    }
+    if (n == 60000) {
+      EXPECT_EQ(longest, 15) << "the input must reach the 15-bit limit";
+    }
+    expect_huffman_matches_reference(stream, in.size(), "n=" + std::to_string(n));
+  }
+}
+
+TEST(HuffmanReference, MatchesOnTruncatedAndBitFlippedStreams) {
+  auto huffman = make_compressor(Method::huffman);
+  util::Xoshiro256 rng(0xF11B);
+  const std::vector<std::uint8_t> inputs[] = {text_bytes(2048, 0x7F), random_bytes(1024, 0x80),
+                                              fibonacci_skewed_bytes(5000)};
+  std::set<std::string> verdicts;  // "ok" or the rejection message
+  const auto tally = [&](const std::string& verdict) {
+    verdicts.insert(verdict.starts_with("ok ") ? "ok" : verdict.substr(verdict.find(": ") + 2));
+  };
+  for (const auto& in : inputs) {
+    const auto stream = compress_all(*huffman, in);
+    const std::string size = "n=" + std::to_string(in.size());
+    // Every cut in the table and the first and last 64 bytes of the codes.
+    for (std::size_t keep = 0; keep < stream.size(); ++keep) {
+      if (keep > 192 && keep + 64 < stream.size()) continue;
+      tally(expect_huffman_matches_reference(std::span(stream).first(keep), in.size(),
+                                             size + " keep=" + std::to_string(keep)));
+    }
+    // Every bit of the code-length table, then random bits of the codes.
+    for (std::size_t bit = 0; bit < stream.size() * 8; ++bit) {
+      if (bit >= 128 * 8) bit += rng.below(64);
+      if (bit >= stream.size() * 8) break;
+      auto flipped = stream;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(0x80 >> (bit % 8));
+      tally(expect_huffman_matches_reference(flipped, in.size(),
+                                             size + " bit=" + std::to_string(bit)));
+    }
+  }
+  for (const char* v : {"ok", "huffman: truncated table", "huffman: oversubscribed code-length table",
+                        "huffman: truncated stream", "huffman: invalid code in stream",
+                        "huffman: trailing bytes after stream", "huffman: nonzero padding bits"}) {
+    EXPECT_TRUE(verdicts.contains(v)) << "no stream reached \"" << v << "\"";
+  }
+}
+
 TEST(CompressEngines, TextCorpusActuallyShrinks) {
   const auto in = text_bytes(16384, 0xBEEF);
   // LZSS exploits the repeated line structure; order-0 Huffman only the
@@ -307,17 +555,7 @@ TEST(CompressEngines, HuffmanSkewedFrequenciesStayWithinDepthLimit) {
   // Huffman trees — the input shape the 15-bit zlib-style length limiting
   // exists for. Round-tripping proves the repaired code is still prefix-
   // complete and canonical on both sides.
-  std::vector<std::uint8_t> in;
-  std::uint64_t a = 1;
-  std::uint64_t b = 1;
-  for (int sym = 0; sym < 24; ++sym) {
-    for (std::uint64_t i = 0; i < a && in.size() < 60000; ++i) {
-      in.push_back(static_cast<std::uint8_t>(sym));
-    }
-    const std::uint64_t next = a + b;
-    a = b;
-    b = next;
-  }
+  const std::vector<std::uint8_t> in = fibonacci_skewed_bytes(60000);
   auto comp = make_compressor(Method::huffman);
   const std::vector<std::uint8_t> stream = compress_all(*comp, in);
   std::vector<std::uint8_t> back(in.size());

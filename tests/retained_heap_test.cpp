@@ -9,6 +9,9 @@
 //   * a thread's compression scratch is back under its bound once its
 //     sessions are gone: one engine per method and two envelope buffers of
 //     at most 64 KiB;
+//   * a thread that only opens builds no engine: decoding keeps no state;
+//   * a compressed Session::seal allocates for the body it seals, not for
+//     the message (counting allocated bytes rather than live ones);
 //   * a registry YAEA-S instance holds its key and nothing else;
 //   * an LZSS compressor's match-search scratch is bounded by its window,
 //     not by the largest input it has seen.
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "src/compress/compress.hpp"
+#include "src/core/frame.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/session.hpp"
 #include "src/util/rng.hpp"
@@ -35,17 +39,20 @@
 // new may be called from any thread.
 namespace {
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_allocated_bytes{0};  // never decremented
 
 void* counted_malloc(std::size_t n) noexcept {
   void* p = std::malloc(n != 0 ? n : 1);
   if (p != nullptr) {
-    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
-                           std::memory_order_relaxed);
+    const auto usable = static_cast<std::int64_t>(malloc_usable_size(p));
+    g_live_bytes.fetch_add(usable, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(usable, std::memory_order_relaxed);
   }
   return p;
 }
 
 std::int64_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+std::int64_t allocated_bytes() { return g_allocated_bytes.load(std::memory_order_relaxed); }
 }  // namespace
 
 // GCC inlines these replacements at STL call sites and then flags the
@@ -197,6 +204,42 @@ TEST(RetainedHeap, SessionPairHoldsItsIdleHeapAndTheThreadBoundedScratch) {
   // One LZSS engine (~48 KiB), the Huffman engine and two envelope buffers
   // of at most 64 KiB each.
   EXPECT_LE(scratch, 192 * 1024) << "bytes the thread's compression scratch holds";
+}
+
+TEST(RetainedHeap, OpenOnlyThreadBuildsNoEncoder) {
+  const auto msg = log_text(16384, 0x0BE7);
+  crypto::Session sealer = crypto::Session::from_master(kMaster);
+  crypto::Session opener = crypto::Session::from_master(kMaster);
+  sealer.set_compression(compress::Method::lzss);
+  const auto first = sealer.seal(msg);
+  const auto second = sealer.seal(msg);
+  // Process-wide state, built on this thread.
+  ASSERT_EQ(opener.open(first), msg);
+  std::int64_t scratch = 0;
+  bool round_trip = false;
+  std::thread([&] {
+    const std::int64_t base = live_bytes();
+    round_trip = opener.open(second) == msg;
+    scratch = live_bytes() - base;
+  }).join();
+  EXPECT_TRUE(round_trip);
+  // The opening envelope buffer (~3 KiB here) and no LZSS engine (~48 KiB).
+  EXPECT_LE(scratch, 8 * 1024) << "bytes an open-only thread holds after a 16 KiB lzss open";
+}
+
+TEST(RetainedHeap, CompressedSealAllocatesForTheEnvelope) {
+  const auto msg = log_text(16384, 0x5EA1);
+  crypto::Session sealer = crypto::Session::from_master(kMaster);
+  sealer.set_compression(compress::Method::lzss);
+  (void)sealer.seal(msg);  // this thread's compression scratch
+  const std::int64_t before = allocated_bytes();
+  const auto sealed = sealer.seal(msg);
+  const std::int64_t allocated = allocated_bytes() - before;
+  ASSERT_EQ(core::frame_decode(sealed, nullptr).compression,
+            static_cast<std::uint8_t>(compress::Method::lzss));
+  // The bound over the ~3 KiB envelope, not the 131,112 B bound over the
+  // 16 KiB message.
+  EXPECT_LE(allocated, 32 * 1024) << "bytes one 16 KiB lzss Session::seal allocates";
 }
 
 TEST(RetainedHeap, RegistryYaeaHoldsOnlyItsKey) {

@@ -158,9 +158,9 @@ TEST(Session, SealIntoOpenIntoSpanForms) {
   EXPECT_EQ(sealer.next_nonce(), before);
 }
 
-// seal() is a max_sealed_size() buffer, seal_into and a shrinking resize:
-// byte-identical to seal_into at the same nonce under every compression
-// method, with the counter advancing in step.
+// seal() sizes its buffer after compression, from the body it seals; the
+// container is byte-identical to seal_into's at the same nonce under every
+// compression method, with the counter advancing in step.
 TEST(Session, SealMatchesSealIntoAtTheSameNonce) {
   for (const compress::Method method :
        {compress::Method::raw, compress::Method::lzss, compress::Method::huffman}) {
