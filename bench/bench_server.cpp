@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "src/server/protocol.hpp"
+#include "src/server/server.hpp"
 #include "src/util/hex.hpp"
 #include "src/util/rng.hpp"
 
@@ -129,6 +130,14 @@ bool read_response(int fd, mhhea::server::FrameParser& parser, mhhea::server::Fr
     if (n <= 0) return false;
     parser.feed(std::span(buf, static_cast<std::size_t>(n)));
   }
+}
+
+/// A parser for the replies to `request` (an encoded frame, length prefix
+/// included): the status byte plus the largest container any connection's
+/// session seals a request of that length into.
+mhhea::server::FrameParser reply_parser(const std::vector<std::uint8_t>& request) {
+  return mhhea::server::FrameParser(
+      mhhea::server::max_reply_frame(request.size() - mhhea::server::kLenPrefixBytes));
 }
 
 /// Consume the server hello (the first frame on every connection, carrying
@@ -239,7 +248,7 @@ class OpenLoopConn {
   }
 
   void receiver_loop() {
-    mhhea::server::FrameParser parser;
+    mhhea::server::FrameParser parser = reply_parser(frame_);
     if (!read_hello(fd_, parser)) {
       std::lock_guard lock(mu_);
       dead_.store(true);
@@ -332,7 +341,7 @@ double probe_saturation(const Options& opt) {
   for (int c = 0; c < opt.conns; ++c) {
     threads.emplace_back([&] {
       const int fd = connect_to(opt);
-      mhhea::server::FrameParser parser;
+      mhhea::server::FrameParser parser = reply_parser(frame);
       if (!read_hello(fd, parser)) {
         ::close(fd);
         return;

@@ -1,7 +1,8 @@
-// The AVX2 engine: 8 independent 32-bit register states per ymm, stepped
-// vertically in lockstep. Table applications become vpgatherdd lookups into
-// the same LinearMapTables the scalar engine reads — identical XOR algebra,
-// different evaluation width — so the engines are bit-identical by
+// The AVX2 engine: the 8 interleaved lanes' 32-bit register states in one
+// ymm, stepped vertically in lockstep; each row of outputs leaves as two
+// contiguous 256-bit stores. Table applications become vpgatherdd lookups
+// into the same LinearMapTables the scalar engine reads — identical XOR
+// algebra, different evaluation width — so the engines are bit-identical by
 // construction.
 //
 // This is the only TU compiled with -mavx2 (see CMakeLists.txt); nothing
@@ -11,7 +12,6 @@
 // reports the engine absent.
 
 #include "src/backend/backend.hpp"
-#include "src/backend/kernels.hpp"
 
 #if defined(__AVX2__)
 
@@ -46,19 +46,6 @@ inline __m256i apply_map8(const LinearMapTables& m, __m256i s) noexcept {
   return r;
 }
 
-template <int Bytes>
-inline void lfsr_blocks8(const LinearMapTables& leap, std::uint32_t* states,
-                         std::uint64_t* out, std::size_t per_lane) noexcept {
-  __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states));
-  alignas(32) std::uint32_t tmp[8];
-  for (std::size_t t = 0; t < per_lane; ++t) {
-    s = apply_map8<Bytes>(leap, s);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), s);
-    for (std::size_t l = 0; l < 8; ++l) out[l * per_lane + t] = tmp[l];
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(states), s);
-}
-
 /// 4+4 zero-extension of the 8 32-bit lanes to two 4x64 halves (lanes 0-3
 /// and 4-7), so 64-bit window shifts and the Geffe combine stay vertical.
 inline void widen(__m256i v, __m256i& lo, __m256i& hi) noexcept {
@@ -66,16 +53,33 @@ inline void widen(__m256i v, __m256i& lo, __m256i& hi) noexcept {
   hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1));
 }
 
+template <int Bytes>
+inline void lfsr_rows8(const LinearMapTables& stride, std::uint32_t* states,
+                       std::uint64_t* out, std::size_t rows) noexcept {
+  __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states));
+  for (std::size_t r = 0; r < rows; ++r, out += kMaxLanes) {
+    s = apply_map8<Bytes>(stride, s);
+    __m256i lo, hi;
+    widen(s, lo, hi);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), hi);
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(states), s);
+}
+
 struct Win {
   __m256i lo, hi;
 };
 
-/// geffe_window64 (kernels.hpp) for 8 lanes: same D-chain / M^64 update,
-/// with the shift-and-OR window composition running on widened halves.
-inline Win geffe_window8(__m256i& s, const LinearMapTables& deg,
-                         const LinearMapTables& upd, int d) noexcept {
-  Win w;
+/// geffe_window64 (kernels.hpp) for 8 lanes — the same D-chain, with the
+/// shift-and-OR window composition running on widened halves — and the
+/// lanes' row step. The step is issued first: it is the only chain carried
+/// to the next row, so the window's lookups hide its latency.
+inline Win geffe_window8(__m256i& s, const LinearMapTables& deg, const LinearMapTables& row,
+                         int d) noexcept {
   __m256i cur = s;
+  s = apply_map8<3>(row, s);
+  Win w;
   widen(cur, w.lo, w.hi);
   for (int filled = d; filled < 64; filled += d) {
     cur = apply_map8<3>(deg, cur);
@@ -85,7 +89,6 @@ inline Win geffe_window8(__m256i& s, const LinearMapTables& deg,
     w.lo = _mm256_or_si256(w.lo, _mm256_sll_epi64(lo, shift));
     w.hi = _mm256_or_si256(w.hi, _mm256_sll_epi64(hi, shift));
   }
-  s = apply_map8<3>(upd, s);
   return w;
 }
 
@@ -96,53 +99,46 @@ inline __m256i combine(__m256i a, __m256i b, __m256i c) noexcept {
 class Avx2Backend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "avx2"; }
-  [[nodiscard]] std::size_t lanes() const noexcept override { return 8; }
 
-  void lfsr_blocks(const LinearMapTables& leap, int degree,
-                   std::uint32_t* states, std::size_t n_lanes,
-                   std::uint64_t* out, std::size_t per_lane) const override {
-    if (n_lanes != 8) {  // partial passes go through the shared scalar kernel
-      detail::lfsr_blocks_scalar_any(leap, degree, states, n_lanes, out, per_lane);
-      return;
-    }
+  void lfsr_blocks(const LinearMapTables& stride, int degree, std::uint32_t* states,
+                   std::uint64_t* out, std::size_t rows) const override {
     switch (state_bytes(degree)) {
       case 1:
       case 2:
-        lfsr_blocks8<2>(leap, states, out, per_lane);
+        lfsr_rows8<2>(stride, states, out, rows);
         break;
       case 3:
-        lfsr_blocks8<3>(leap, states, out, per_lane);
+        lfsr_rows8<3>(stride, states, out, rows);
         break;
       default:
-        lfsr_blocks8<4>(leap, states, out, per_lane);
+        lfsr_rows8<4>(stride, states, out, rows);
         break;
     }
   }
 
   void geffe_units(const GeffeKernel& k, std::uint32_t* a, std::uint32_t* b,
-                   std::uint32_t* c, std::size_t n_lanes,
-                   const std::uint8_t* in, std::uint8_t* out,
-                   std::size_t per_lane) const override {
-    if (n_lanes != 8) {
-      detail::geffe_units_scalar(k, a, b, c, n_lanes, in, out, per_lane);
-      return;
-    }
+                   std::uint32_t* c, const std::uint8_t* in, std::uint8_t* out,
+                   std::size_t rows) const override {
     __m256i sa = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
     __m256i sb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
     __m256i sc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c));
-    alignas(32) std::uint64_t z[8];
-    for (std::size_t t = 0; t < per_lane; ++t) {
-      const Win wa = geffe_window8(sa, *k.deg[0], *k.upd[0], k.degree[0]);
-      const Win wb = geffe_window8(sb, *k.deg[1], *k.upd[1], k.degree[1]);
-      const Win wc = geffe_window8(sc, *k.deg[2], *k.upd[2], k.degree[2]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(z), combine(wa.lo, wb.lo, wc.lo));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(z + 4), combine(wa.hi, wb.hi, wc.hi));
-      for (std::size_t l = 0; l < 8; ++l) {
-        const std::size_t off = (l * per_lane + t) * 8;
-        std::uint64_t v = z[l];
-        if (in != nullptr) v ^= util::load_le(in + off, 8);
-        util::store_le(out + off, v, 8);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const Win wa = geffe_window8(sa, *k.deg[0], *k.row[0], k.degree[0]);
+      const Win wb = geffe_window8(sb, *k.deg[1], *k.row[1], k.degree[1]);
+      const Win wc = geffe_window8(sc, *k.deg[2], *k.row[2], k.degree[2]);
+      // Lanes 0-3 are the row's first 32 bytes, lanes 4-7 the next 32; x86
+      // stores 64-bit lanes little-endian.
+      const std::size_t off = r * kMaxLanes * 8;
+      __m256i lo = combine(wa.lo, wb.lo, wc.lo);
+      __m256i hi = combine(wa.hi, wb.hi, wc.hi);
+      if (in != nullptr) {
+        const auto* src = reinterpret_cast<const __m256i*>(in + off);
+        lo = _mm256_xor_si256(lo, _mm256_loadu_si256(src));
+        hi = _mm256_xor_si256(hi, _mm256_loadu_si256(src + 1));
       }
+      auto* dst = reinterpret_cast<__m256i*>(out + off);
+      _mm256_storeu_si256(dst, lo);
+      _mm256_storeu_si256(dst + 1, hi);
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(a), sa);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(b), sb);

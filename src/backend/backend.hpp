@@ -2,11 +2,16 @@
 //
 // The source paper's FPGA advances a whole hiding vector per clock. The
 // software analogue past PR-4's word-at-a-time rewrite is *lane*
-// parallelism: a single serial keystream is split into N contiguous output
-// ranges ("lanes"), each lane's start state is seeded with the GF(2) jump
-// machinery (a precomputed lane-stride power of the transition matrix), and
-// all N registers then step in lockstep — one table-lookup chain per
-// instruction on the scalar engine, eight per 256-bit register on AVX2.
+// parallelism over interleaved outputs: output k of a span (an LFSR block,
+// or an 8-byte Geffe keystream unit) comes from lane k % kMaxLanes, so one
+// row of kMaxLanes consecutive outputs is one step of every lane. Each lane
+// steps by the row stride, a precomputed power of the transition matrix
+// (M^(kMaxLanes * degree) per LFSR block row, M^(64 * kMaxLanes) per Geffe
+// register). The caller seeds the lanes from the first row, written or
+// stepped serially, and the kernels emit whole rows of contiguous outputs —
+// eight independent table-lookup chains on the scalar engine, one 256-bit
+// register of them on AVX2. Every span runs the same lanes past its first
+// row, whatever its length.
 //
 // Everything a backend executes is expressed over LinearMapTables built by
 // `Lfsr` from the normative bit-serial register, so every engine is
@@ -15,12 +20,11 @@
 // table lookups. The reference-model sweep and the KAT fixtures run under
 // both forced engines in CI to pin this.
 //
-// Call sites routed through the seam, at every size: Lfsr::next_blocks
-// (hiding-vector blocks; LfsrCover::next_blocks and the MHHEA cover refill
-// ride on it) and GeffeKeystream::next_bytes / xor_bytes (the YAEA-S
-// datapath). Each runs full lane passes from two lane-passes up on a
-// multi-lane engine and hands the rest to one single-lane pass, so every
-// block and every whole keystream unit comes from a kernel.
+// Call sites routed through the seam: Lfsr::next_blocks (hiding-vector
+// blocks; LfsrCover::next_blocks and the MHHEA cover refill ride on it) and
+// GeffeKeystream::next_bytes / xor_bytes (the YAEA-S datapath). Each runs
+// its whole rows through a kernel; the caller computes the fewer than
+// kMaxLanes outputs left over.
 //
 // Engine selection happens once, at first use: cpuid picks the widest
 // supported engine, and the MHHEA_BACKEND environment variable
@@ -38,29 +42,20 @@
 
 namespace mhhea::backend {
 
-/// Hard upper bound on lanes any engine may request (AVX2 = 8 x 32-bit
-/// states per register; a future AVX-512 engine would still fit).
+/// Lanes per row, on every engine: AVX2 steps 8 x 32-bit states per
+/// register, and the scalar engine runs the same 8 chains for their
+/// instruction-level parallelism.
 inline constexpr std::size_t kMaxLanes = 8;
-
-/// Blocks each lane produces per lfsr_blocks() pass. The lane-seeding
-/// tables are precomputed for exactly this stride (M^(kLfsrLaneBlocks *
-/// degree)), so seeding lane l from lane l-1 costs one table application
-/// instead of an O(log n) jump.
-inline constexpr std::size_t kLfsrLaneBlocks = 256;
-
-/// 64-bit keystream units each lane produces per geffe_units() pass
-/// (128 units = 1 KiB of keystream per lane, 8 KiB per full AVX2 pass).
-inline constexpr std::size_t kGeffeLaneUnits = 128;
 
 /// The three Geffe component registers' maps, borrowed from the
 /// process-wide tables yaea.cpp builds once: per register, the degree-step
 /// leap map D (one next_block) used to slide the 64-bit output window, and
-/// the 64-step update map U = M^64 that advances a lane's register past one
-/// emitted unit. Degrees are <= 24, so three-byte table application covers
-/// the states.
+/// the row stride R = M^(64 * kMaxLanes) that advances a lane past one row
+/// of units. Degrees are <= 24, so three-byte table application covers the
+/// states.
 struct GeffeKernel {
   const LinearMapTables* deg[3];  // D = M^degree   (A, B, C order)
-  const LinearMapTables* upd[3];  // U = M^64
+  const LinearMapTables* row[3];  // R = M^(64 * kMaxLanes)
   int degree[3];
 };
 
@@ -72,29 +67,25 @@ class Backend {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Independent register states this engine steps per kernel pass. Callers
-  /// seed up to this many lanes; 1 means the seam adds no lane machinery.
-  [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
+  /// Step kMaxLanes copies of one register `rows` times each through the
+  /// row-stride map: lane l starts at states[l] and writes its successive
+  /// states to out[r * kMaxLanes + l]. On return states[l] holds lane l's
+  /// final state. `degree` selects how many state bytes the table
+  /// application touches.
+  virtual void lfsr_blocks(const LinearMapTables& stride, int degree,
+                           std::uint32_t* states, std::uint64_t* out,
+                           std::size_t rows) const = 0;
 
-  /// Step `n_lanes` independent copies of one register `per_lane` times
-  /// each through the degree-leap map: lane l starts at states[l] and
-  /// writes its successive states (= next_block() values) to
-  /// out[l * per_lane + t]. On return states[l] holds lane l's final state.
-  /// `degree` selects how many state bytes the table application touches.
-  virtual void lfsr_blocks(const LinearMapTables& leap, int degree,
-                           std::uint32_t* states, std::size_t n_lanes,
-                           std::uint64_t* out, std::size_t per_lane) const = 0;
-
-  /// Produce `per_lane` 64-bit Geffe keystream units for each of `n_lanes`
-  /// lanes, XOR them with `in` (or use them raw when `in` is null), and
-  /// store little-endian at out + (l * per_lane + t) * 8. a/b/c hold the
-  /// three component-register states per lane and are advanced 64 *
-  /// per_lane steps each on return. `in`, when given, covers the same
-  /// extent as `out` and may alias it exactly (in == out).
+  /// Produce `rows` rows of kMaxLanes 64-bit Geffe keystream units, XOR
+  /// them with `in` (or use them raw when `in` is null), and store
+  /// little-endian at out + (r * kMaxLanes + l) * 8: lane l's unit of row r
+  /// is read from its registers' states a[l]/b[l]/c[l], which then advance
+  /// by the row stride. `in`, when given, covers the same extent as `out`
+  /// and may alias it exactly (in == out).
   virtual void geffe_units(const GeffeKernel& k, std::uint32_t* a,
                            std::uint32_t* b, std::uint32_t* c,
-                           std::size_t n_lanes, const std::uint8_t* in,
-                           std::uint8_t* out, std::size_t per_lane) const = 0;
+                           const std::uint8_t* in, std::uint8_t* out,
+                           std::size_t rows) const = 0;
 };
 
 /// The engine every routed call site uses. Resolved once on first call:

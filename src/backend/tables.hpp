@@ -12,7 +12,7 @@
 // map M^degree. This header promotes the representation to a first-class
 // type so the backend seam can pass *any* precomputed power of the
 // transition matrix — the degree-leap (one block), the 64-step Geffe window
-// update, or the lane-stride advance that seeds SIMD lanes — to scalar and
+// update, or the row stride that steps interleaved lanes — to scalar and
 // vector kernels alike. The tables are plain data (4 KiB, trivially
 // copyable), which is what lets the AVX2 engine gather from them directly.
 //

@@ -8,10 +8,9 @@
 namespace mhhea::core {
 
 namespace {
-/// Cover vectors prefetched per refill. Sized so LFSR covers cross the
-/// multi-lane threshold of Lfsr::next_blocks (2 * backend::kLfsrLaneBlocks
-/// blocks) and a full 8-lane pass fits per fetch; still bounded, so a walk
-/// never holds more than ~16 KiB of look-ahead.
+/// Cover vectors prefetched per refill: the chunk lives on the walk's stack,
+/// so this bounds its look-ahead to 16 KiB, while a fetch stays long enough
+/// that the per-refill call and bounds check are noise next to the blocks.
 constexpr std::size_t kCoverChunk = 2048;
 }  // namespace
 

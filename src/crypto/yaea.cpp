@@ -1,22 +1,23 @@
 #include "src/crypto/yaea.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/backend/backend.hpp"
+#include "src/backend/kernels.hpp"
+#include "src/util/bits.hpp"
 #include "src/util/secret.hpp"
 
 namespace mhhea::crypto {
 namespace {
 
 /// The backend Geffe kernel's maps, built once per process: per component
-/// register the 64-step window update U = M^64 and the lane-stride seeding
-/// map M^(64 * backend::kGeffeLaneUnits), plus the registers' process-wide
-/// degree-leap tables, packaged as the kernel argument. Public data: they
-/// depend on the fixed polynomials only, never on the key.
+/// register the 64-step unit map U = M^64 that seeds the lanes and the row
+/// stride M^(64 * backend::kMaxLanes) that steps them, plus the registers'
+/// process-wide degree-leap tables, packaged as the kernel argument. Public
+/// data: they depend on the fixed polynomials only, never on the key.
 struct GeffeTables {
   backend::LinearMapTables upd[3];
-  backend::LinearMapTables lane[3];
+  backend::LinearMapTables row[3];
   backend::GeffeKernel kernel{};
 
   GeffeTables() {
@@ -25,9 +26,9 @@ struct GeffeTables {
     for (int r = 0; r < 3; ++r) {
       const lfsr::Lfsr reg(degrees[r], 1);
       upd[r] = reg.power_tables(64);
-      lane[r] = reg.power_tables(64 * backend::kGeffeLaneUnits);
+      row[r] = reg.power_tables(64 * backend::kMaxLanes);
       kernel.deg[r] = &reg.leap_tables();
-      kernel.upd[r] = &upd[r];
+      kernel.row[r] = &row[r];
       kernel.degree[r] = degrees[r];
     }
   }
@@ -76,47 +77,35 @@ void GeffeKeystream::xor_bytes(std::span<const std::uint8_t> in,
 void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
   static_assert(kDegreeA <= 24 && kDegreeB <= 24 && kDegreeC <= 24,
                 "the backend Geffe kernel applies three state bytes");
-  const GeffeTables& tables = geffe_tables();
-  const backend::Backend& be = backend::active();
-  constexpr std::size_t kPassBytes = backend::kGeffeLaneUnits * 8;
-  std::uint32_t a[backend::kMaxLanes] = {static_cast<std::uint32_t>(a_.state())};
-  std::uint32_t b[backend::kMaxLanes] = {static_cast<std::uint32_t>(b_.state())};
-  std::uint32_t c[backend::kMaxLanes] = {static_cast<std::uint32_t>(c_.state())};
-  std::size_t done = 0;
-  // Full lane passes: split the run into contiguous lane-pass ranges and
-  // step all lanes' registers in lockstep. Worth it from two lane-passes up;
-  // engages at 2 KiB runs and covers a 16 KiB message with exactly two full
-  // 8-lane passes.
-  if (be.lanes() > 1) {
-    while (out.size() - done >= 2 * kPassBytes) {
-      const std::size_t lanes = std::min(be.lanes(), (out.size() - done) / kPassBytes);
-      // Lane l starts where lane l-1 will end: one lane-stride application
-      // per register, exact by GF(2) linearity.
-      for (std::size_t l = 1; l < lanes; ++l) {
-        a[l] = tables.lane[0].apply<3>(a[l - 1]);
-        b[l] = tables.lane[1].apply<3>(b[l - 1]);
-        c[l] = tables.lane[2].apply<3>(c[l - 1]);
-      }
-      be.geffe_units(tables.kernel, a, b, c, lanes, in != nullptr ? in + done : nullptr,
-                     out.data() + done, backend::kGeffeLaneUnits);
-      a[0] = a[lanes - 1];
-      b[0] = b[lanes - 1];
-      c[0] = c[lanes - 1];
-      done += lanes * kPassBytes;
+  constexpr std::size_t kLanes = backend::kMaxLanes;
+  const std::size_t units = out.size() / 8;
+  if (units > 0) {
+    const GeffeTables& t = geffe_tables();
+    lfsr::Lfsr* const regs[3] = {&a_, &b_, &c_};
+    // Unit k of the span comes from lane k % kLanes: lane l's registers start
+    // at unit l, seeded from lane l - 1 by the 64-step map.
+    std::uint32_t s[3][kLanes]{};
+    for (int r = 0; r < 3; ++r) {
+      s[r][0] = static_cast<std::uint32_t>(regs[r]->state());
+      for (std::size_t l = 1; l < kLanes; ++l) s[r][l] = t.upd[r].apply<3>(s[r][l - 1]);
     }
+    const std::size_t whole = units / kLanes * kLanes;
+    backend::active().geffe_units(t.kernel, s[0], s[1], s[2], in, out.data(), whole / kLanes);
+    // Lane l now sits at unit whole + l: the units after the last whole
+    // row come straight from the lanes' states, and the registers resume
+    // at the first unit not emitted.
+    for (std::size_t k = whole; k < units; ++k) {
+      const std::size_t l = k - whole;
+      std::uint64_t z = backend::geffe_unit(t.kernel, s[0][l], s[1][l], s[2][l]);
+      if (in != nullptr) z ^= util::load_le(in + k * 8, 8);
+      util::store_le(out.data() + k * 8, z, 8);
+    }
+    for (int r = 0; r < 3; ++r) regs[r]->set_state(s[r][units - whole]);
   }
-  // Every remaining whole 8-byte unit: one single-lane pass from the
-  // registers' own states.
-  const std::size_t units = (out.size() - done) / 8;
-  be.geffe_units(tables.kernel, a, b, c, 1, in != nullptr ? in + done : nullptr,
-                 out.data() + done, units);
-  a_.set_state(a[0]);
-  b_.set_state(b[0]);
-  c_.set_state(c[0]);
   // The tail under 8 bytes: the normative bit-serial generator.
-  for (done += units * 8; done < out.size(); ++done) {
+  for (std::size_t i = units * 8; i < out.size(); ++i) {
     const std::uint8_t k = next_byte();
-    out[done] = in != nullptr ? static_cast<std::uint8_t>(in[done] ^ k) : k;
+    out[i] = in != nullptr ? static_cast<std::uint8_t>(in[i] ^ k) : k;
   }
 }
 

@@ -57,16 +57,16 @@ class GeffeKeystream {
   [[nodiscard]] std::uint8_t next_byte() noexcept;
 
   /// Fill `out` with the next out.size() keystream bytes — the word-wide
-  /// hot path. Every whole 8-byte unit comes from the active backend's
-  /// geffe_units kernel: runs of at least two lane-passes on a multi-lane
-  /// engine go as independent lanes (each lane's three registers seeded by
-  /// one lane-stride table application, then all lanes stepped in
-  /// lockstep), and the remaining units as one single-lane pass from the
-  /// registers' own states (LSB-first bit order makes byte k of a 64-bit
-  /// unit keystream byte k). Only a tail under 8 bytes runs bit-serially
-  /// through next_byte(). Bit-exact with repeated next_byte() calls,
-  /// including the register states left behind, so bulk and serial pulls
-  /// can be interleaved freely. An empty span is a no-op.
+  /// hot path, in 8-byte units (LSB-first bit order makes byte k of a
+  /// 64-bit unit keystream byte k). Unit k comes from lane k %
+  /// backend::kMaxLanes: lane l's three registers are seeded from lane
+  /// l - 1 by the 64-step map, the active backend's geffe_units kernel
+  /// emits whole rows of kMaxLanes contiguous units, stepping every lane by
+  /// the row stride M^(64 * kMaxLanes), and fewer than a row of units left
+  /// over are read straight from the lanes' next states. Only a tail under
+  /// 8 bytes runs bit-serially through next_byte(). Bit-exact with repeated
+  /// next_byte() calls, including the register states left behind, so bulk
+  /// and serial pulls can be interleaved freely. An empty span is a no-op.
   void next_bytes(std::span<std::uint8_t> out);
 
   /// out = in XOR keystream, fused into the backend kernels (the YAEA-S

@@ -71,14 +71,14 @@ backend::LinearMapTables power_of(const Columns& step, int d, std::uint64_t step
 }  // namespace
 
 /// What every register of one degree shares: the one-step matrix probed from
-/// step(), the degree leap M^degree (one next_block) and the lane-stride map
-/// M^(kLfsrLaneBlocks * degree) that seeds next_blocks' lanes. All depend on
-/// the public polynomial only.
+/// step(), the degree leap M^degree (one next_block) and the row stride
+/// M^(kMaxLanes * degree) that steps next_blocks' interleaved lanes. All
+/// depend on the public polynomial only.
 struct Lfsr::DegreeTables {
   std::uint64_t fib_mask;  // the polynomial's feedback taps
   Columns step;
   backend::LinearMapTables leap;
-  backend::LinearMapTables lane_stride;
+  backend::LinearMapTables row_stride;
 };
 
 const Lfsr::DegreeTables& Lfsr::tables_for(int degree) {
@@ -99,8 +99,8 @@ const Lfsr::DegreeTables& Lfsr::tables_for(int degree) {
           static_cast<std::uint32_t>(step_state(std::uint64_t{1} << b, t.fib_mask, degree));
     }
     t.leap = power_of(t.step, degree, static_cast<std::uint64_t>(degree));
-    t.lane_stride =
-        power_of(t.step, degree, backend::kLfsrLaneBlocks * static_cast<std::uint64_t>(degree));
+    t.row_stride =
+        power_of(t.step, degree, backend::kMaxLanes * static_cast<std::uint64_t>(degree));
   });
   return slot.tables;
 }
@@ -137,28 +137,23 @@ std::uint64_t Lfsr::next_block() noexcept {
 }
 
 void Lfsr::next_blocks(std::span<std::uint64_t> out) {
-  const backend::Backend& be = backend::active();
-  constexpr std::size_t kPass = backend::kLfsrLaneBlocks;
-  std::uint32_t states[backend::kMaxLanes] = {static_cast<std::uint32_t>(state_)};
-  std::size_t done = 0;
-  // Full lane passes from two lane-passes up (below that the seeding
-  // application per lane outweighs the lockstep win).
-  if (be.lanes() > 1) {
-    while (out.size() - done >= 2 * kPass) {
-      const std::size_t lanes = std::min(be.lanes(), (out.size() - done) / kPass);
-      // Lane l starts where lane l-1 will end: one lane-stride application
-      // per seed, exact by GF(2) linearity (no replay).
-      for (std::size_t l = 1; l < lanes; ++l) {
-        states[l] = tables_->lane_stride.apply(states[l - 1]);
-      }
-      be.lfsr_blocks(tables_->leap, degree_, states, lanes, out.data() + done, kPass);
-      states[0] = states[lanes - 1];  // final block of the last lane
-      done += lanes * kPass;
-    }
+  constexpr std::size_t kLanes = backend::kMaxLanes;
+  const std::size_t rows = out.size() / kLanes;
+  // The first row runs serially (the whole span when it is shorter), and
+  // its blocks seed the lanes: block k of the span comes from lane
+  // k % kLanes.
+  std::size_t k = std::min(out.size(), kLanes);
+  for (std::size_t i = 0; i < k; ++i) out[i] = next_block();
+  if (rows > 1) {
+    std::uint32_t states[kLanes]{};
+    std::copy_n(out.begin(), kLanes, states);
+    backend::active().lfsr_blocks(tables_->row_stride, degree_, states, out.data() + kLanes,
+                                  rows - 1);
+    state_ = states[kLanes - 1];  // the last block of the last row
+    k = rows * kLanes;
   }
-  // The rest is one single-lane pass from the register's own state.
-  be.lfsr_blocks(tables_->leap, degree_, states, 1, out.data() + done, out.size() - done);
-  state_ = states[0];
+  // Fewer than one row left: serially from the last block.
+  for (; k < out.size(); ++k) out[k] = next_block();
 }
 
 void Lfsr::set_state(std::uint64_t state) {

@@ -50,18 +50,16 @@ class Lfsr {
   [[nodiscard]] std::uint64_t next_block() noexcept;
 
   /// Fill `out` with successive next_block() values (the word-at-a-time
-  /// hiding-vector port: one table-lookup chain per block, one backend
-  /// call per pass).
+  /// hiding-vector port).
   ///
-  /// Every block comes from the active backend's lfsr_blocks kernel. Spans
-  /// of at least two lane-passes (2 * backend::kLfsrLaneBlocks blocks) on a
-  /// multi-lane engine first run full passes: the span is split into
-  /// contiguous lanes, each lane's start state seeded by one application of
-  /// the degree's lane-stride map (M^(kLfsrLaneBlocks * degree)), and all
-  /// lanes stepped in lockstep — 8 per AVX2 register. The rest (all of it
-  /// on the scalar engine) is one single-lane pass starting at the
-  /// register's own state. Bit-identical to repeated next_block() for every
-  /// span size and backend, including the state left behind.
+  /// Spans of two or more rows of backend::kMaxLanes blocks run as
+  /// interleaved lanes: the first row is stepped serially, block k then
+  /// comes from lane k % kMaxLanes, and the active backend's lfsr_blocks
+  /// kernel steps every lane by this degree's row stride
+  /// (M^(kMaxLanes * degree)), emitting whole rows of contiguous blocks.
+  /// Fewer than a row of blocks left over, and spans shorter than two rows,
+  /// run serially. Bit-identical to repeated next_block() for every span
+  /// size and backend, including the state left behind.
   void next_blocks(std::span<std::uint64_t> out);
 
   /// Jump to an explicit state (low `degree` bits; must be non-zero after

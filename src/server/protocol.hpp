@@ -166,12 +166,16 @@ inline std::vector<std::uint8_t> encode_response(Status status,
   return encode_frame(static_cast<std::uint8_t>(status), body);
 }
 
-/// One parsed frame: the tag byte plus a view of the body inside the
-/// parser's buffer (valid until the next consume()).
+/// One parsed frame: the tag byte plus a copy of the body.
 struct Frame {
   std::uint8_t tag = 0;
   std::vector<std::uint8_t> body;
 };
+
+/// Buffer capacity a connection keeps once it has nothing buffered: a
+/// parser that reassembled a large frame, or a write buffer that carried a
+/// large response, does not keep its high-water mark while idle.
+inline constexpr std::size_t kRetainedBufferBytes = std::size_t{64} << 10;
 
 /// Incremental frame parser over a byte stream. feed() appends received
 /// bytes; next() yields completed frames one at a time. Malformation that
@@ -182,10 +186,15 @@ class FrameParser {
  public:
   enum class Error { kNone, kZeroLength, kTooLarge };
 
-  explicit FrameParser(std::size_t max_frame = kMaxFrameDefault)
-      : max_frame_(max_frame) {}
+  /// `max_frame` caps the length prefix. A server passes its request cap; a
+  /// client reading replies passes a reply cap (max_reply_frame in
+  /// server.hpp), since a sealed reply outgrows the request it answers.
+  explicit FrameParser(std::size_t max_frame) : max_frame_(max_frame) {}
 
   void feed(std::span<const std::uint8_t> bytes) {
+    // Drop the frames next() has yielded, once per feed.
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
@@ -193,14 +202,16 @@ class FrameParser {
 
   /// True while a frame has been started (some bytes buffered) but not yet
   /// completed — the slow-loris condition the server's request timeout cuts.
-  [[nodiscard]] bool mid_frame() const noexcept { return !buf_.empty(); }
+  [[nodiscard]] bool mid_frame() const noexcept { return head_ < buf_.size(); }
 
   /// Pop the next complete frame, or nullopt when more bytes are needed.
   /// After an Error the parser yields nothing more.
   std::optional<Frame> next() {
     if (error_ != Error::kNone) return std::nullopt;
-    if (buf_.size() < kLenPrefixBytes) return std::nullopt;
-    const std::uint32_t len = get_u32le(buf_.data());
+    const std::size_t avail = buf_.size() - head_;
+    if (avail < kLenPrefixBytes) return std::nullopt;
+    const std::uint8_t* p = buf_.data() + head_;
+    const std::uint32_t len = get_u32le(p);
     if (len == 0) {
       error_ = Error::kZeroLength;
       return std::nullopt;
@@ -209,19 +220,23 @@ class FrameParser {
       error_ = Error::kTooLarge;
       return std::nullopt;
     }
-    if (buf_.size() < kLenPrefixBytes + len) return std::nullopt;
+    if (avail < kLenPrefixBytes + len) return std::nullopt;
     Frame f;
-    f.tag = buf_[kLenPrefixBytes];
-    f.body.assign(buf_.begin() + static_cast<std::ptrdiff_t>(kLenPrefixBytes) + 1,
-                  buf_.begin() + static_cast<std::ptrdiff_t>(kLenPrefixBytes + len));
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(kLenPrefixBytes + len));
+    f.tag = p[kLenPrefixBytes];
+    f.body.assign(p + kLenPrefixBytes + 1, p + kLenPrefixBytes + len);
+    head_ += kLenPrefixBytes + len;
+    if (head_ == buf_.size()) {
+      head_ = 0;
+      buf_.clear();
+      if (buf_.capacity() > kRetainedBufferBytes) std::vector<std::uint8_t>().swap(buf_);
+    }
     return f;
   }
 
  private:
   std::size_t max_frame_;
   std::vector<std::uint8_t> buf_;
+  std::size_t head_ = 0;  // bytes of buf_ already yielded as frames
   Error error_ = Error::kNone;
 };
 

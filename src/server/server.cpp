@@ -42,10 +42,6 @@ constexpr std::size_t kMaxPendingPerConn = 32;
 /// timeout cuts it.
 constexpr std::size_t kMaxUnflushedBytes = std::size_t{256} << 10;
 
-/// Write-buffer capacity kept after a full flush; a connection that once
-/// carried a large response does not keep its high-water mark while idle.
-constexpr std::size_t kRetainedWbufBytes = std::size_t{64} << 10;
-
 /// One reactor per CPU the process may run on.
 std::size_t reactor_count() {
   cpu_set_t set;
@@ -66,6 +62,14 @@ struct Request {
 };
 
 }  // namespace
+
+std::size_t max_reply_frame(std::size_t max_frame_bytes) {
+  const core::BlockParams params = core::BlockParams::hardware();
+  const std::uint8_t master[] = {0};  // public: only the size bound is read
+  const crypto::Session worst(
+      master, core::Key(std::vector<core::KeyPair>(core::Key::kMaxPairs), params), params);
+  return 1 + worst.max_sealed_size(max_frame_bytes);
+}
 
 /// Per-connection state, touched only by the thread that owns it: reactor 0
 /// until the hello is sent and the connection is handed off, its home
@@ -115,7 +119,7 @@ struct Server::Conn {
     }
     woff = 0;
     wbuf.clear();
-    if (wbuf.capacity() > kRetainedWbufBytes) std::vector<std::uint8_t>().swap(wbuf);
+    if (wbuf.capacity() > kRetainedBufferBytes) std::vector<std::uint8_t>().swap(wbuf);
     return true;
   }
 

@@ -79,6 +79,14 @@ struct ServerConfig {
   compress::Method compression = compress::Method::raw;
 };
 
+/// Frame-length cap for a client reading replies to requests of up to
+/// `max_frame_bytes`: the status byte plus Session::max_sealed_size of the
+/// request cap, under a key of Key::kMaxPairs pairs of span 0. Such a pair
+/// embeds one bit per block, the least any pair can, so no connection's
+/// session seals a larger container — a reply parser with this cap never
+/// reports kTooLarge on a reply the server sent.
+[[nodiscard]] std::size_t max_reply_frame(std::size_t max_frame_bytes);
+
 /// Monotonic counters, readable while the server runs.
 struct ServerStats {
   std::uint64_t accepted = 0;        // connections accepted and registered

@@ -28,9 +28,9 @@ TEST(LfsrTables, ColdStartOnFourThreadsMatchesSerial) {
   constexpr std::size_t kThreads = 4;
   constexpr int kDegrees = 31;              // 2..32
   constexpr std::uint64_t kSeed = 0x5EED;  // non-zero in the low bits of every degree
-  // Two lane-passes plus a ragged tail, for both kernels.
-  constexpr std::size_t kBlocks = 2 * backend::kLfsrLaneBlocks + 37;
-  constexpr std::size_t kBytes = 2 * backend::kGeffeLaneUnits * 8 + 13;
+  // Whole rows of lanes plus a ragged tail, for both kernels.
+  constexpr std::size_t kBlocks = 549;
+  constexpr std::size_t kBytes = 2061;
   struct Pulled {
     std::vector<std::vector<std::uint64_t>> blocks;  // [degree - 2][block]
     std::vector<std::uint8_t> bytes;
@@ -203,8 +203,8 @@ TEST(Lfsr, NextBlockAdvancesDegreeSteps) {
 
 // Lfsr::power_tables(n) is the n-step transition map M^n as per-byte XOR
 // tables, built by square-and-multiply on the probed one-step matrix. The
-// lane seeding of next_blocks and the Geffe kernel's update maps ride on it,
-// so the map must agree with plain stepping.
+// row strides of next_blocks and the Geffe kernel ride on it, so the map
+// must agree with plain stepping.
 constexpr int kPowerDegrees[] = {2, 7, 16, 17, 23, 32};
 
 std::uint64_t apply_power(Lfsr& l, std::uint64_t steps, std::uint64_t state) {
@@ -244,7 +244,7 @@ TEST(LfsrJump, FullPeriodIsIdentity) {
 
 TEST(LfsrJump, ComposesWithNextBlock) {
   // Mapping by k * degree steps == discarding k next_block() calls: the
-  // contract the lane-stride seeding in next_blocks builds on.
+  // contract the row stride of next_blocks builds on.
   Lfsr jumped(16, 0xACE1);
   Lfsr stepped(16, 0xACE1);
   for (int i = 0; i < 37; ++i) (void)stepped.next_block();

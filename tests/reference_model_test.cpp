@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/backend/backend.hpp"
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
@@ -376,13 +375,13 @@ TEST(ReferenceLfsr, StepBitsMatchesNaiveBitSerial) {
     ref::Lfsr naive(degree, seed);
     // Interleave random-size next_blocks pulls with single steps so every
     // bulk pull starts mid-stream, off any block boundary; one pull in
-    // eight spans two lane-passes, so the multi-lane route is split too.
+    // eight spans 512-575 blocks, many whole lane rows and a leftover.
     for (int round = 0; round < 200; ++round) {
       if (rng() % 4 == 0) {
         ASSERT_EQ(prod.step(), naive.step() != 0) << "degree " << degree << " round " << round;
         continue;
       }
-      const std::size_t n = rng() % 8 == 0 ? 2 * backend::kLfsrLaneBlocks + rng() % 64
+      const std::size_t n = rng() % 8 == 0 ? 512 + rng() % 64
                                            : static_cast<std::size_t>(rng() % 40);
       std::vector<std::uint64_t> got(n);
       prod.next_blocks(got);

@@ -15,9 +15,12 @@
 //   * a registry YAEA-S instance holds its key and nothing else;
 //   * an LZSS compressor's match-search scratch is bounded by its window,
 //     not by the largest input it has seen.
+//   * a frame parser keeps at most 64 KiB once it has yielded every frame
+//     it buffered, however large they were.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +34,7 @@
 #include "src/core/frame.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/session.hpp"
+#include "src/server/protocol.hpp"
 #include "src/util/rng.hpp"
 
 // ----------------------------------------------------------------------
@@ -268,6 +272,23 @@ TEST(RetainedHeap, LzssScratchIsBoundedByTheWindow) {
   // links (16 KiB).
   EXPECT_LE(live_bytes() - base, 64 * 1024)
       << "bytes an LZSS compressor holds after a 1 MiB compress_into";
+}
+
+TEST(RetainedHeap, FrameParserReleasesALargeFrame) {
+  // A request of exactly the default cap, fed in socket-sized reads.
+  const auto frame = server::encode_request(
+      server::Op::kSeal, random_bytes(server::kMaxFrameDefault - 1, 0xF4A3));
+  const std::int64_t base = live_bytes();
+  server::FrameParser parser(server::kMaxFrameDefault);
+  constexpr std::size_t kRead = 16 * 1024;
+  for (std::size_t off = 0; off < frame.size(); off += kRead) {
+    parser.feed(std::span(frame).subspan(off, std::min(kRead, frame.size() - off)));
+  }
+  const bool yielded = parser.next().has_value();  // the frame itself is freed here
+  const std::int64_t held = live_bytes() - base;
+  // Checked only now: a failed expectation allocates its report.
+  ASSERT_TRUE(yielded);
+  EXPECT_LE(held, 64 * 1024) << "bytes a FrameParser holds after yielding one 1 MiB frame";
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ class Client {
 
   int fd_ = -1;
   // Responses outgrow requests: a max-frame seal answers with several MiB.
-  FrameParser parser_{kMaxFrameDefault * 16};
+  FrameParser parser_{max_reply_frame(kMaxFrameDefault)};
   std::vector<std::uint8_t> salt_;
   std::uint8_t methods_ = 0;
 };
@@ -810,7 +810,7 @@ double process_cpu_seconds() {
 
 /// True once a hello frame arrives on `fd` within `ms`.
 bool hello_arrives(int fd, int ms) {
-  FrameParser parser;
+  FrameParser parser(max_reply_frame(kMaxFrameDefault));
   pollfd p{fd, POLLIN, 0};
   while (::poll(&p, 1, ms) == 1) {
     std::uint8_t buf[256];
