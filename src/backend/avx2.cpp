@@ -1,9 +1,13 @@
-// The AVX2 engine: the 8 interleaved lanes' 32-bit register states in one
-// ymm, stepped vertically in lockstep; each row of outputs leaves as two
-// contiguous 256-bit stores. Table applications become vpgatherdd lookups
-// into the same LinearMapTables the scalar engine reads — identical XOR
-// algebra, different evaluation width — so the engines are bit-identical by
-// construction.
+// The AVX2 engine: the 8 interleaved Geffe lanes' 32-bit register states in
+// one ymm per register, stepped vertically in lockstep; each row of units
+// leaves as two contiguous 256-bit stores. Table applications become
+// vpgatherdd lookups into the same LinearMapTables the scalar engine reads —
+// identical XOR algebra, different evaluation width — so the engines are
+// bit-identical by construction.
+//
+// LFSR blocks run on the scalar engine's kernel: a block row is one table
+// application per lane, and the gathers' latency cost more than the eight
+// scalar chains at every degree measured (16 to 32).
 //
 // This is the only TU compiled with -mavx2 (see CMakeLists.txt); nothing
 // here executes unless dispatch's runtime cpuid check admitted the engine,
@@ -24,26 +28,15 @@ inline const int* table_base(const LinearMapTables& m, int byte) noexcept {
   return reinterpret_cast<const int*>(m.t[static_cast<std::size_t>(byte)].data());
 }
 
-/// map(s) for 8 states at once; Bytes as in LinearMapTables::apply. The top
-/// index of the widest byte in use needs no mask — states are confined below
-/// the byte boundary only for the partial-byte cases the callers pass.
-template <int Bytes>
+/// map(s) for 8 three-byte states at once (Geffe degrees are 17/19/23),
+/// as LinearMapTables::apply<3>.
 inline __m256i apply_map8(const LinearMapTables& m, __m256i s) noexcept {
   const __m256i ff = _mm256_set1_epi32(0xFF);
   __m256i r = _mm256_i32gather_epi32(table_base(m, 0), _mm256_and_si256(s, ff), 4);
-  if constexpr (Bytes >= 2) {
-    const __m256i i1 = _mm256_and_si256(_mm256_srli_epi32(s, 8), ff);
-    r = _mm256_xor_si256(r, _mm256_i32gather_epi32(table_base(m, 1), i1, 4));
-  }
-  if constexpr (Bytes >= 3) {
-    const __m256i i2 = _mm256_and_si256(_mm256_srli_epi32(s, 16), ff);
-    r = _mm256_xor_si256(r, _mm256_i32gather_epi32(table_base(m, 2), i2, 4));
-  }
-  if constexpr (Bytes >= 4) {
-    const __m256i i3 = _mm256_srli_epi32(s, 24);
-    r = _mm256_xor_si256(r, _mm256_i32gather_epi32(table_base(m, 3), i3, 4));
-  }
-  return r;
+  const __m256i i1 = _mm256_and_si256(_mm256_srli_epi32(s, 8), ff);
+  r = _mm256_xor_si256(r, _mm256_i32gather_epi32(table_base(m, 1), i1, 4));
+  const __m256i i2 = _mm256_and_si256(_mm256_srli_epi32(s, 16), ff);
+  return _mm256_xor_si256(r, _mm256_i32gather_epi32(table_base(m, 2), i2, 4));
 }
 
 /// 4+4 zero-extension of the 8 32-bit lanes to two 4x64 halves (lanes 0-3
@@ -51,20 +44,6 @@ inline __m256i apply_map8(const LinearMapTables& m, __m256i s) noexcept {
 inline void widen(__m256i v, __m256i& lo, __m256i& hi) noexcept {
   lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v));
   hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1));
-}
-
-template <int Bytes>
-inline void lfsr_rows8(const LinearMapTables& stride, std::uint32_t* states,
-                       std::uint64_t* out, std::size_t rows) noexcept {
-  __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states));
-  for (std::size_t r = 0; r < rows; ++r, out += kMaxLanes) {
-    s = apply_map8<Bytes>(stride, s);
-    __m256i lo, hi;
-    widen(s, lo, hi);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), hi);
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(states), s);
 }
 
 struct Win {
@@ -78,11 +57,11 @@ struct Win {
 inline Win geffe_window8(__m256i& s, const LinearMapTables& deg, const LinearMapTables& row,
                          int d) noexcept {
   __m256i cur = s;
-  s = apply_map8<3>(row, s);
+  s = apply_map8(row, s);
   Win w;
   widen(cur, w.lo, w.hi);
   for (int filled = d; filled < 64; filled += d) {
-    cur = apply_map8<3>(deg, cur);
+    cur = apply_map8(deg, cur);
     __m256i lo, hi;
     widen(cur, lo, hi);
     const __m128i shift = _mm_cvtsi32_si128(filled);
@@ -102,18 +81,7 @@ class Avx2Backend final : public Backend {
 
   void lfsr_blocks(const LinearMapTables& stride, int degree, std::uint32_t* states,
                    std::uint64_t* out, std::size_t rows) const override {
-    switch (state_bytes(degree)) {
-      case 1:
-      case 2:
-        lfsr_rows8<2>(stride, states, out, rows);
-        break;
-      case 3:
-        lfsr_rows8<3>(stride, states, out, rows);
-        break;
-      default:
-        lfsr_rows8<4>(stride, states, out, rows);
-        break;
-    }
+    detail::scalar_backend().lfsr_blocks(stride, degree, states, out, rows);
   }
 
   void geffe_units(const GeffeKernel& k, std::uint32_t* a, std::uint32_t* b,

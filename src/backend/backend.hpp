@@ -10,8 +10,9 @@
 // register). The caller seeds the lanes from the first row, written or
 // stepped serially, and the kernels emit whole rows of contiguous outputs —
 // eight independent table-lookup chains on the scalar engine, one 256-bit
-// register of them on AVX2. Every span runs the same lanes past its first
-// row, whatever its length.
+// register of Geffe lanes on AVX2 (whose LFSR rows run the scalar chains:
+// gathers lose to them at every degree measured). Every span runs the
+// same lanes past its first row, whatever its length.
 //
 // Everything a backend executes is expressed over LinearMapTables built by
 // `Lfsr` from the normative bit-serial register, so every engine is
@@ -42,8 +43,8 @@
 
 namespace mhhea::backend {
 
-/// Lanes per row, on every engine: AVX2 steps 8 x 32-bit states per
-/// register, and the scalar engine runs the same 8 chains for their
+/// Lanes per row, on every engine: AVX2 steps 8 x 32-bit Geffe states per
+/// register, and the scalar chains run 8 at a time for their
 /// instruction-level parallelism.
 inline constexpr std::size_t kMaxLanes = 8;
 

@@ -84,23 +84,27 @@ void GeffeKeystream::run(const std::uint8_t* in, std::span<std::uint8_t> out) {
     lfsr::Lfsr* const regs[3] = {&a_, &b_, &c_};
     // Unit k of the span comes from lane k % kLanes: lane l's registers start
     // at unit l, seeded from lane l - 1 by the 64-step map.
-    std::uint32_t s[3][kLanes]{};
-    for (int r = 0; r < 3; ++r) {
-      s[r][0] = static_cast<std::uint32_t>(regs[r]->state());
-      for (std::size_t l = 1; l < kLanes; ++l) s[r][l] = t.upd[r].apply<3>(s[r][l - 1]);
-    }
     const std::size_t whole = units / kLanes * kLanes;
-    backend::active().geffe_units(t.kernel, s[0], s[1], s[2], in, out.data(), whole / kLanes);
-    // Lane l now sits at unit whole + l: the units after the last whole
-    // row come straight from the lanes' states, and the registers resume
-    // at the first unit not emitted.
-    for (std::size_t k = whole; k < units; ++k) {
-      const std::size_t l = k - whole;
-      std::uint64_t z = backend::geffe_unit(t.kernel, s[0][l], s[1][l], s[2][l]);
-      if (in != nullptr) z ^= util::load_le(in + k * 8, 8);
-      util::store_le(out.data() + k * 8, z, 8);
+    std::uint32_t s[3][kLanes]{};
+    for (int r = 0; r < 3; ++r) s[r][0] = static_cast<std::uint32_t>(regs[r]->state());
+    if (whole > 0) {
+      for (int r = 0; r < 3; ++r) {
+        for (std::size_t l = 1; l < kLanes; ++l) s[r][l] = t.upd[r].apply<3>(s[r][l - 1]);
+      }
+      backend::active().geffe_units(t.kernel, s[0], s[1], s[2], in, out.data(), whole / kLanes);
     }
-    for (int r = 0; r < 3; ++r) regs[r]->set_state(s[r][units - whole]);
+    // Lane 0 now sits at unit `whole`. The units after the last whole row
+    // (all of a span under one row) run serially from it, a unit and a
+    // 64-step map each, and the registers resume at the first unit not
+    // emitted.
+    std::uint32_t z[3] = {s[0][0], s[1][0], s[2][0]};
+    for (std::size_t k = whole; k < units; ++k) {
+      std::uint64_t u = backend::geffe_unit(t.kernel, z[0], z[1], z[2]);
+      for (int r = 0; r < 3; ++r) z[r] = t.upd[r].apply<3>(z[r]);
+      if (in != nullptr) u ^= util::load_le(in + k * 8, 8);
+      util::store_le(out.data() + k * 8, u, 8);
+    }
+    for (int r = 0; r < 3; ++r) regs[r]->set_state(z[r]);
   }
   // The tail under 8 bytes: the normative bit-serial generator.
   for (std::size_t i = units * 8; i < out.size(); ++i) {

@@ -63,7 +63,8 @@ class GeffeKeystream {
   /// l - 1 by the 64-step map, the active backend's geffe_units kernel
   /// emits whole rows of kMaxLanes contiguous units, stepping every lane by
   /// the row stride M^(64 * kMaxLanes), and fewer than a row of units left
-  /// over are read straight from the lanes' next states. Only a tail under
+  /// over (all of a span under 64 bytes) run serially on from lane 0 by the
+  /// 64-step map, seeding no lanes they do not read. Only a tail under
   /// 8 bytes runs bit-serially through next_byte(). Bit-exact with repeated
   /// next_byte() calls, including the register states left behind, so bulk
   /// and serial pulls can be interleaved freely. An empty span is a no-op.
